@@ -17,7 +17,9 @@ from .core import (
     check_feasibility,
     evaluate_relaxed_wsu,
     evaluate_wsu,
+    block_winners,
     quantize,
+    round_allocation,
     top_cap_indicator,
 )
 from .sgpa import (

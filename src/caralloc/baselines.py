@@ -18,8 +18,9 @@ import numpy as np
 from .core import (
     BinaryAllocation,
     ProblemInstance,
+    block_winners,
     evaluate_wsu,
-    top_cap_indicator,
+    round_allocation,
 )
 from .lp import LinearProgram, LpStatus, solve_lp
 
@@ -74,12 +75,8 @@ def greedy_unconstrained(instance: ProblemInstance) -> GreedyResult:
     the output respects them anyway.
     """
     scores = instance.weights[:, None, None] * instance.utilities
-    winners = np.argmax(scores, axis=0)  # (M, N); first max -> lowest k
-
-    K, M, N = instance.num_ues, instance.num_ccs, instance.num_rbs_per_cc
-    alpha = np.zeros((K, M, N), dtype=np.int8)
-    mm, nn = np.meshgrid(np.arange(M), np.arange(N), indexing="ij")
-    alpha[winners, mm, nn] = 1
+    everyone = np.ones((instance.num_ues, instance.num_ccs), dtype=np.int8)
+    alpha = block_winners(scores, everyone, everyone[0])
     beta = (alpha.sum(axis=2) > 0).astype(np.int8)
     gamma = (beta.sum(axis=0) > 0).astype(np.int8)
     within_caps = bool(
@@ -142,13 +139,16 @@ def heuristic_solve(instance: ProblemInstance) -> BinaryAllocation:
     Stage one pretends every user holds every block (alpha = 1), reducing the
     problem to picking carrier admissions and activations; that bilinear
     objective is linearized exactly with auxiliary variables and solved as an
-    LP. Stage two rounds activations and admissions the same way the
-    iterative solver quantizes, then assigns each block on an active carrier
-    to the admitted user with the largest weighted utility. Blocks on active
-    carriers with no admitted user stay unallocated.
+    LP. Stage two is :func:`~caralloc.core.round_allocation`, the rounding
+    the iterative solver ends with, scoring blocks by weighted utility.
     """
-    K, M, N = instance.num_ues, instance.num_ccs, instance.num_rbs_per_cc
+    K, M = instance.num_ues, instance.num_ccs
     gains = instance.weights[:, None] * instance.utilities.sum(axis=2)
+    # The simplex tolerances are absolute, so the LP sees gains on a fixed
+    # scale; scaling every utility then leaves the allocation unchanged.
+    top = gains.max()
+    if top > 0:
+        gains = gains / top
 
     lp = _carrier_selection_lp(gains, instance.ue_cc_caps, instance.system_cc_cap)
     sol = solve_lp(lp)
@@ -156,26 +156,12 @@ def heuristic_solve(instance: ProblemInstance) -> BinaryAllocation:
         raise RuntimeError(f"carrier-selection LP came back {sol.status.value}")
 
     km = K * M
-    beta_relaxed = sol.x[km : 2 * km].reshape(K, M)
-    gamma_relaxed = sol.x[2 * km :]
-
-    gamma_bin = top_cap_indicator(gamma_relaxed, instance.system_cc_cap)
-    active = gamma_bin == 1
-    beta_bin = np.zeros((K, M), dtype=np.int8)
-    for k in range(K):
-        beta_bin[k] = top_cap_indicator(beta_relaxed[k], int(instance.ue_cc_caps[k]), eligible=active)
-
-    weighted = instance.weights[:, None, None] * instance.utilities
-    alpha_bin = np.zeros((K, M, N), dtype=np.int8)
-    for m in np.flatnonzero(active):
-        members = beta_bin[:, m] == 1
-        if not members.any():
-            continue
-        candidates = np.where(members[:, None], weighted[:, m, :], -1.0)
-        winners = np.argmax(candidates, axis=0)
-        alpha_bin[winners, m, np.arange(N)] = 1
-
-    return BinaryAllocation(alpha_bin, beta_bin, gamma_bin)
+    return round_allocation(
+        instance,
+        instance.weights[:, None, None] * instance.utilities,
+        sol.x[km : 2 * km].reshape(K, M),
+        sol.x[2 * km :],
+    )
 
 
 def oracle_enumeration_count(num_ccs: int, caps, system_cap: int) -> int:
@@ -243,20 +229,10 @@ def brute_force_oracle(
                     best_active = active
                     best_membership = membership
 
-    alpha = np.zeros((K, M, N), dtype=np.int8)
     beta = np.zeros((K, M), dtype=np.int8)
     gamma = np.zeros(M, dtype=np.int8)
     if best_active:
-        active_arr = np.array(best_active, dtype=int)
-        gamma[active_arr] = 1
-        beta[:, active_arr] = best_membership.astype(np.int8)
-        for pos, m in enumerate(active_arr):
-            members = best_membership[:, pos]
-            if not members.any():
-                continue
-            candidates = np.where(members[:, None], weighted[:, m, :], -1.0)
-            winners = np.argmax(candidates, axis=0)
-            alpha[winners, m, np.arange(N)] = 1
-
-    allocation = BinaryAllocation(alpha, beta, gamma)
+        gamma[list(best_active)] = 1
+        beta[:, list(best_active)] = best_membership
+    allocation = BinaryAllocation(block_winners(weighted, beta, gamma), beta, gamma)
     return allocation, evaluate_wsu(instance, allocation)

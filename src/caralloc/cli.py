@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .sgpa import SgpaConfig, solve, write_trace_csv
 from .simharness import (
     GenParams,
     SweepConfig,
+    _run_trial,
     fig1_experiment,
     run_sweep,
     sample_instance,
@@ -194,8 +196,6 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     config = SweepConfig.from_json_file(args.config)
     if args.jobs is not None:
-        from dataclasses import replace
-
         config = replace(config, jobs=args.jobs)
     rows = run_sweep(config)
     write_results_csv(rows, args.output)
@@ -216,35 +216,29 @@ def cmd_fig1(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
-    params = GenParams(
-        K=args.K,
-        M=args.M,
-        N=args.N,
-        ue_cc_cap=args.Mk,
-        system_cc_cap_limit=args.M0_limit,
-        seed=args.seed,
+    """Trial t is ``caralloc sweep``'s trial t of grid point 0, so the means
+    equal that sweep's ``mean_wsu``. The oracle raises on a blown budget
+    before enumerating anything."""
+    config = SweepConfig(
+        algorithms=("sgpa", "heuristic", "oracle"),
+        gen=GenParams(
+            K=args.K, M=args.M, N=args.N, ue_cc_cap=args.Mk, system_cc_cap_limit=args.M0_limit
+        ),
+        trials=args.trials,
+        base_seed=args.seed,
+        oracle_budget=OracleBudget(args.budget),
     )
-    budget = OracleBudget(args.budget)
-    sgpa_wsus, heuristic_wsus, oracle_wsus = [], [], []
-    from dataclasses import replace
-
-    for trial in range(args.trials):
-        instance = sample_instance(replace(params, stream_key=(trial,)))
-        sgpa_wsus.append(solve(instance).wsu)
-        heuristic_wsus.append(evaluate_wsu(instance, heuristic_solve(instance)))
-        oracle_wsus.append(brute_force_oracle(instance, budget)[1])
-
-    mean_oracle = float(np.mean(oracle_wsus))
+    trials = [_run_trial((config, 0, args.M, args.Mk, t)) for t in range(args.trials)]
+    wsus = {name: np.array([trial[name][0] for trial in trials]) for name in config.algorithms}
+    means = {name: float(values.mean()) for name, values in wsus.items()}
     doc = {
         "trials": args.trials,
-        "mean_wsu_sgpa": float(np.mean(sgpa_wsus)),
-        "mean_wsu_heuristic": float(np.mean(heuristic_wsus)),
-        "mean_wsu_oracle": mean_oracle,
-        "ratio_sgpa_oracle": float(np.mean(sgpa_wsus)) / mean_oracle,
-        "ratio_heuristic_oracle": float(np.mean(heuristic_wsus)) / mean_oracle,
+        **{f"mean_wsu_{name}": mean for name, mean in means.items()},
+        "ratio_sgpa_oracle": means["sgpa"] / means["oracle"],
+        "ratio_heuristic_oracle": means["heuristic"] / means["oracle"],
         "dominance_ok": bool(
-            all(s <= o + 1e-9 for s, o in zip(sgpa_wsus, oracle_wsus))
-            and all(h <= o + 1e-9 for h, o in zip(heuristic_wsus, oracle_wsus))
+            np.all(wsus["sgpa"] <= wsus["oracle"] + 1e-9)
+            and np.all(wsus["heuristic"] <= wsus["oracle"] + 1e-9)
         ),
     }
     print(json.dumps(doc))

@@ -2,8 +2,9 @@
 
 Holds the immutable problem description (per-user weights, per-block
 utilities, carrier caps), the weighted-sum-utility objective, feasibility
-checking against the hard constraints, and the quantization step that turns
-a continuous allocation into a feasible 0/1 one.
+checking against the hard constraints, and the rounding that turns a
+continuous allocation (or any carrier/admission shares plus block scores)
+into a feasible 0/1 one.
 
 Conventions used throughout the package:
 
@@ -31,6 +32,8 @@ __all__ = [
     "evaluate_relaxed_wsu",
     "check_feasibility",
     "quantize",
+    "round_allocation",
+    "block_winners",
     "top_cap_indicator",
 ]
 
@@ -371,33 +374,43 @@ def top_cap_indicator(values: np.ndarray, cap: int, eligible: Optional[np.ndarra
     return out
 
 
-def quantize(instance: ProblemInstance, relaxed: RelaxedAllocation) -> BinaryAllocation:
-    """Round a continuous allocation to a feasible 0/1 allocation.
+def block_winners(scores: np.ndarray, beta_bin: np.ndarray, gamma_bin: np.ndarray) -> np.ndarray:
+    """0/1 block assignment: each block goes to its highest-scoring admitted user.
+
+    A user is admitted on carrier m when ``beta_bin[k, m]`` and
+    ``gamma_bin[m]`` are both 1. Ties go to the lowest user index. Blocks of
+    a carrier with no admitted user stay unallocated.
+    """
+    admitted = (beta_bin == 1) & (gamma_bin == 1)
+    winners = np.argmax(np.where(admitted[:, :, None], scores, -np.inf), axis=0)
+    alpha = np.zeros(np.shape(scores), dtype=np.int8)
+    np.put_along_axis(alpha, winners[None], admitted.any(axis=0)[None, :, None], axis=0)
+    return alpha
+
+
+def round_allocation(
+    instance: ProblemInstance, scores: np.ndarray, beta: np.ndarray, gamma: np.ndarray
+) -> BinaryAllocation:
+    """Round carrier and admission shares, then hand out blocks by score.
 
     Carriers first (top system-cap activation), then each user's carrier set
     (its top entries among the carriers just activated), then per-block
-    winners among the users admitted to that carrier. Every stage only picks
-    from what the previous stage kept, so the output satisfies all hard
-    constraints by construction. A block on an active carrier with no
-    admitted user stays unallocated.
+    winners by ``scores`` among the users admitted to that carrier. Every
+    stage only picks from what the previous stage kept, so the output
+    satisfies all hard constraints by construction.
+    """
+    gamma_bin = top_cap_indicator(gamma, instance.system_cc_cap)
+    active = gamma_bin == 1
+    beta_bin = np.zeros((instance.num_ues, instance.num_ccs), dtype=np.int8)
+    for k in range(instance.num_ues):
+        beta_bin[k] = top_cap_indicator(beta[k], int(instance.ue_cc_caps[k]), eligible=active)
+    return BinaryAllocation(block_winners(scores, beta_bin, gamma_bin), beta_bin, gamma_bin)
+
+
+def quantize(instance: ProblemInstance, relaxed: RelaxedAllocation) -> BinaryAllocation:
+    """Round a continuous allocation to a feasible 0/1 allocation.
+
+    :func:`round_allocation` with the block shares as the block scores.
     """
     _require_dims(instance, relaxed)
-    K, M, N = relaxed.dims()
-
-    gamma_bin = top_cap_indicator(relaxed.gamma, instance.system_cc_cap)
-    active = gamma_bin == 1
-
-    beta_bin = np.zeros((K, M), dtype=np.int8)
-    for k in range(K):
-        beta_bin[k] = top_cap_indicator(relaxed.beta[k], int(instance.ue_cc_caps[k]), eligible=active)
-
-    alpha_bin = np.zeros((K, M, N), dtype=np.int8)
-    for m in np.flatnonzero(active):
-        members = beta_bin[:, m] == 1
-        if not members.any():
-            continue
-        candidates = np.where(members[:, None], relaxed.alpha[:, m, :], -1.0)
-        winners = np.argmax(candidates, axis=0)  # first max -> lowest user index
-        alpha_bin[winners, m, np.arange(N)] = 1
-
-    return BinaryAllocation(alpha_bin, beta_bin, gamma_bin)
+    return round_allocation(instance, relaxed.alpha, relaxed.beta, relaxed.gamma)

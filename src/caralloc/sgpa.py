@@ -380,11 +380,23 @@ def relaxed_wsu_trace(result: SgpaResult) -> List[tuple]:
 
 
 def write_trace_csv(result: SgpaResult, path) -> None:
-    """Write the trace as CSV with columns iteration, relaxed_wsu, max_change."""
+    """Write the trace as CSV, one column per IterationRecord field.
+
+    ``zero_rate_ues`` is written as user indices joined with ``;`` (empty
+    when no row was held).
+    """
     if result.trace is None:
         raise ValueError("solver was run without trace recording")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "relaxed_wsu", "max_change"])
+        writer.writerow(["iteration", "relaxed_wsu", "max_change", "sum_residual", "zero_rate_ues"])
         for rec in result.trace:
-            writer.writerow([rec.iteration, repr(rec.relaxed_wsu), repr(rec.max_change)])
+            writer.writerow(
+                [
+                    rec.iteration,
+                    repr(rec.relaxed_wsu),
+                    repr(rec.max_change),
+                    repr(rec.sum_residual),
+                    ";".join(str(k) for k in rec.zero_rate_ues),
+                ]
+            )

@@ -27,7 +27,7 @@ from .baselines import (
     oracle_enumeration_count,
 )
 from .core import ProblemInstance, evaluate_wsu
-from .sgpa import SgpaConfig, capped_simplex_normalize, solve
+from .sgpa import SgpaConfig, _snap, capped_simplex_normalize, solve
 
 __all__ = [
     "GENERATOR_NAME",
@@ -44,7 +44,13 @@ __all__ = [
 
 GENERATOR_NAME = "numpy.random.Philox"
 
-SWEEP_ALGORITHMS = ("sgpa", "heuristic", "greedy", "oracle")
+#: Each sweep algorithm as a call from (instance, SweepConfig) to its WSU.
+SWEEP_ALGORITHMS = {
+    "sgpa": lambda instance, config: solve(instance, config.sgpa).wsu,
+    "heuristic": lambda instance, config: evaluate_wsu(instance, heuristic_solve(instance)),
+    "greedy": lambda instance, config: evaluate_wsu(instance, greedy_unconstrained(instance).allocation),
+    "oracle": lambda instance, config: brute_force_oracle(instance, config.oracle_budget)[1],
+}
 
 CSV_HEADER = ["algorithm", "M", "Mk", "M0", "trials", "mean_wsu", "stderr_wsu", "mean_solve_seconds"]
 
@@ -180,7 +186,7 @@ class SweepConfig:
             raise ValueError("jobs must be >= 1")
         for name in self.algorithms:
             if name not in SWEEP_ALGORITHMS:
-                raise ValueError(f"unknown algorithm {name!r}; pick from {SWEEP_ALGORITHMS}")
+                raise ValueError(f"unknown algorithm {name!r}; pick from {tuple(SWEEP_ALGORITHMS)}")
 
     def grid_points(self) -> List[Tuple[int, int, int]]:
         ms = tuple(self.m_grid) if self.m_grid else (self.gen.M,)
@@ -245,28 +251,9 @@ def _run_trial(args) -> dict:
     instance = sample_instance(params)
     out = {}
     for algorithm in config.algorithms:
-        if algorithm == "sgpa":
-            start = time.perf_counter()
-            result = solve(instance, config.sgpa)
-            elapsed = time.perf_counter() - start
-            wsu = result.wsu
-        elif algorithm == "heuristic":
-            start = time.perf_counter()
-            allocation = heuristic_solve(instance)
-            elapsed = time.perf_counter() - start
-            wsu = evaluate_wsu(instance, allocation)
-        elif algorithm == "greedy":
-            start = time.perf_counter()
-            greedy = greedy_unconstrained(instance)
-            elapsed = time.perf_counter() - start
-            wsu = evaluate_wsu(instance, greedy.allocation)
-        elif algorithm == "oracle":
-            start = time.perf_counter()
-            _, wsu = brute_force_oracle(instance, config.oracle_budget)
-            elapsed = time.perf_counter() - start
-        else:  # pragma: no cover - guarded by SweepConfig validation
-            raise ValueError(algorithm)
-        out[algorithm] = (wsu, elapsed)
+        start = time.perf_counter()
+        wsu = SWEEP_ALGORITHMS[algorithm](instance, config)
+        out[algorithm] = (wsu, time.perf_counter() - start)
     return out
 
 
@@ -418,8 +405,6 @@ def fig1_experiment(
     trajectory[0] = start
     x = start
     for i in range(1, iterations + 1):
-        x = capped_simplex_normalize(x * rates, M_k).x.copy()
-        x[x >= 1.0 - snap_tolerance] = 1.0
-        x[x <= zero_tolerance] = 0.0
+        x = _snap(capped_simplex_normalize(x * rates, M_k).x, snap_tolerance, zero_tolerance)
         trajectory[i] = x
     return trajectory

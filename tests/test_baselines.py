@@ -178,3 +178,27 @@ class TestOracle:
             assert check_feasibility(inst, alloc).ok
             assert solve(inst).wsu <= wsu + 1e-9
             assert evaluate_wsu(inst, heuristic_solve(inst)) <= wsu + 1e-9
+
+
+SCALED_ALGORITHMS = {
+    "sgpa": lambda inst: solve(inst).binary,
+    "greedy": lambda inst: greedy_unconstrained(inst).allocation,
+    "heuristic": heuristic_solve,
+    "oracle": lambda inst: brute_force_oracle(inst)[0],
+}
+
+
+@pytest.mark.parametrize("scale", [2.0**-40, 2.0**40])
+@pytest.mark.parametrize("algorithm", sorted(SCALED_ALGORITHMS))
+def test_allocation_invariant_to_utility_scale(algorithm, scale):
+    """Multiplying every utility by a power of two is exact in floating
+    point, so every algorithm must return the very same allocation."""
+    run = SCALED_ALGORITHMS[algorithm]
+    for trial in range(20):
+        inst = sample_instance(
+            GenParams(K=4, M=6, N=4, ue_cc_cap=2, system_cc_cap_limit=2, seed=0, stream_key=(0, trial))
+        )
+        scaled = make_instance(inst.weights, inst.utilities * scale, inst.ue_cc_caps, inst.system_cc_cap)
+        base, out = run(inst), run(scaled)
+        for name in ("alpha", "beta", "gamma"):
+            np.testing.assert_array_equal(getattr(out, name), getattr(base, name))

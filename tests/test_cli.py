@@ -4,6 +4,7 @@ import json
 
 from caralloc.cli import main
 from caralloc.core import BinaryAllocation, ProblemInstance
+from caralloc.simharness import GenParams, SweepConfig, run_sweep
 
 
 def run(capsys, *argv):
@@ -90,7 +91,7 @@ class TestSolve:
         )
         assert code == 0
         lines = trace.read_text().strip().splitlines()
-        assert lines[0] == "iteration,relaxed_wsu,max_change"
+        assert lines[0] == "iteration,relaxed_wsu,max_change,sum_residual,zero_rate_ues"
         assert len(lines) >= 2
 
     def test_allocation_out(self, tmp_path, capsys):
@@ -156,6 +157,28 @@ class TestOracleCompare:
         assert doc["dominance_ok"] is True
         assert 0.0 <= doc["ratio_sgpa_oracle"] <= 1.0
         assert 0.0 <= doc["ratio_heuristic_oracle"] <= 1.0
+
+    def test_budget_exceeded_exits_4(self, capsys):
+        code, out, err = run(capsys, "oracle-compare", "--trials", "2", "--budget", "3")
+        assert code == 4
+        assert out == ""
+        assert "budget" in err
+
+    def test_means_match_sweep(self, capsys):
+        code, out, _ = run(
+            capsys, "oracle-compare", "--trials", "4", "--seed", "9", "--K", "3",
+            "--M", "4", "--N", "2", "--Mk", "2", "--M0-limit", "3",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        config = SweepConfig(
+            algorithms=("sgpa", "heuristic", "oracle"),
+            gen=GenParams(K=3, M=4, N=2, ue_cc_cap=2, system_cc_cap_limit=3),
+            trials=4,
+            base_seed=9,
+        )
+        for row in run_sweep(config):
+            assert doc[f"mean_wsu_{row.algorithm}"] == row.mean_wsu
 
 
 class TestBench:

@@ -349,5 +349,5 @@ class TestTrace:
         path = tmp_path / "trace.csv"
         write_trace_csv(result, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,relaxed_wsu,max_change"
+        assert lines[0] == "iteration,relaxed_wsu,max_change,sum_residual,zero_rate_ues"
         assert len(lines) == 1 + result.iterations_run
