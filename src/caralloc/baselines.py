@@ -74,9 +74,8 @@ def greedy_unconstrained(instance: ProblemInstance) -> GreedyResult:
     is optimal exactly when they are slack; ``within_caps`` reports whether
     the output respects them anyway.
     """
-    scores = instance.weights[:, None, None] * instance.utilities
     everyone = np.ones((instance.num_ues, instance.num_ccs), dtype=np.int8)
-    alpha = block_winners(scores, everyone, everyone[0])
+    alpha = block_winners(instance.weighted_utilities, everyone, everyone[0])
     beta = (alpha.sum(axis=2) > 0).astype(np.int8)
     gamma = (beta.sum(axis=0) > 0).astype(np.int8)
     within_caps = bool(
@@ -158,7 +157,7 @@ def heuristic_solve(instance: ProblemInstance) -> BinaryAllocation:
     km = K * M
     return round_allocation(
         instance,
-        instance.weights[:, None, None] * instance.utilities,
+        instance.weighted_utilities,
         sol.x[km : 2 * km].reshape(K, M),
         sol.x[2 * km :],
     )
@@ -197,7 +196,7 @@ def brute_force_oracle(
         raise BudgetExceededError(required, budget)
 
     K, M, N = instance.num_ues, instance.num_ccs, instance.num_rbs_per_cc
-    weighted = instance.weights[:, None, None] * instance.utilities
+    weighted = instance.weighted_utilities
 
     best_value = -1.0
     best_active: tuple = ()

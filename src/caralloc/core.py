@@ -117,6 +117,12 @@ class ProblemInstance:
     def N(self) -> int:
         return self.num_rbs_per_cc
 
+    @property
+    def weighted_utilities(self) -> np.ndarray:
+        """``weights[k] * utilities[k, m, n]``, formed anew on every access
+        (not cached, so no extra K*M*N array outlives its use)."""
+        return self.weights[:, None, None] * self.utilities
+
     def to_dict(self) -> dict:
         """JSON-ready document: {"K", "M", "N", "weights", "Mk", "M0", "phi"}."""
         return {

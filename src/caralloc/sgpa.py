@@ -14,7 +14,7 @@ sorted rates (no root-finding); see :func:`capped_simplex_normalize`.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Union
 
 import numpy as np
@@ -37,8 +37,6 @@ __all__ = [
     "update_alpha",
     "update_beta",
     "update_gamma",
-    "beta_rates",
-    "gamma_rates",
     "solve",
     "relaxed_wsu_trace",
     "write_trace_csv",
@@ -83,15 +81,7 @@ class SgpaConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SgpaConfig":
-        known = {
-            "max_iterations",
-            "snap_tolerance",
-            "zero_tolerance",
-            "convergence_tolerance",
-            "initialization",
-            "record_trace",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown solver config fields: {sorted(unknown)}")
         return cls(**doc)
@@ -164,55 +154,49 @@ def capped_simplex_normalize(v, cap: int) -> NormalizationSolution:
     raise RuntimeError("no saturation level satisfied the breakpoint conditions")
 
 
-def _weighted_utilities(instance: ProblemInstance) -> np.ndarray:
-    return instance.weights[:, None, None] * instance.utilities
+def _sweep_scores(instance: ProblemInstance, alpha, beta, gamma) -> tuple:
+    """The three score arrays of one sweep, each product formed once.
 
-
-def update_alpha(instance: ProblemInstance, prev: RelaxedAllocation) -> np.ndarray:
-    """One block-share update: renormalize each (carrier, block) column.
-
-    new_alpha[k, m, n] is proportional to
-    ``prev_alpha[k, m, n] * prev_beta[k, m] * w_k * phi[k, m, n]`` with each
-    (m, n) column scaled to sum to 1. The carrier activations cancel between
-    numerator and denominator and must not appear. A column whose products
-    are all zero is left at its previous values (it earns nothing either way).
+    With weighted utilities ``W = w_k * phi[k, m, n]`` and per-carrier rates
+    ``r[k, m] = sum_n alpha[k, m, n] * W[k, m, n]``, the scores are
+    ``alpha * beta * W`` for the blocks, ``beta * gamma * r`` for the carrier
+    shares and ``gamma * sum_k beta * r`` for the activations. The carrier
+    activations cancel in the block update and do not appear there.
     """
-    scores = prev.alpha * prev.beta[:, :, None] * _weighted_utilities(instance)
+    weighted = instance.weighted_utilities
+    per_cc = np.einsum("kmn,kmn->km", alpha, weighted)
+    return (
+        alpha * beta[:, :, None] * weighted,
+        beta * (gamma[None, :] * per_cc),
+        gamma * np.einsum("km,km->m", beta, per_cc),
+    )
+
+
+def update_alpha(scores: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """One block-share update: scale each (carrier, block) column of the
+    scores to sum to 1. A column whose scores are all zero keeps its
+    previous shares ``alpha`` (it earns nothing either way)."""
     denom = scores.sum(axis=0, keepdims=True)
     safe = np.where(denom > 0.0, denom, 1.0)
-    return np.where(denom > 0.0, scores / safe, prev.alpha)
+    return np.where(denom > 0.0, scores / safe, alpha)
 
 
-def beta_rates(instance: ProblemInstance, prev: RelaxedAllocation) -> np.ndarray:
-    """Effective per-(user, carrier) rate feeding the carrier-share update."""
-    per_cc = np.einsum("kmn,kmn->km", prev.alpha, _weighted_utilities(instance))
-    return prev.gamma[None, :] * per_cc
-
-
-def update_beta(instance: ProblemInstance, prev: RelaxedAllocation) -> np.ndarray:
+def update_beta(scores: np.ndarray, beta: np.ndarray, caps) -> np.ndarray:
     """One carrier-share update per user: capped-simplex normalization of the
-    previous shares scaled by their rates, with the user's carrier cap as the
-    target sum. A user whose rates are all zero keeps its previous row."""
-    v = prev.beta * beta_rates(instance, prev)
-    out = prev.beta.copy()
-    for k in range(instance.num_ues):
-        if v[k].max() > 0.0:
-            out[k] = capped_simplex_normalize(v[k], int(instance.ue_cc_caps[k])).x
+    user's score row with its carrier cap ``caps[k]`` as the target sum. A
+    user whose scores are all zero keeps its previous row of ``beta``."""
+    out = beta.copy()
+    for k in range(len(out)):
+        if scores[k].max() > 0.0:
+            out[k] = capped_simplex_normalize(scores[k], int(caps[k])).x
     return out
 
 
-def gamma_rates(instance: ProblemInstance, prev: RelaxedAllocation) -> np.ndarray:
-    """Effective per-carrier rate feeding the activation update."""
-    per_cc = np.einsum("kmn,kmn->km", prev.alpha, _weighted_utilities(instance))
-    return np.einsum("km,km->m", prev.beta, per_cc)
-
-
-def update_gamma(instance: ProblemInstance, prev: RelaxedAllocation) -> np.ndarray:
+def update_gamma(scores: np.ndarray, cap: int) -> np.ndarray:
     """One activation update: capped-simplex normalization with the system cap."""
-    v = prev.gamma * gamma_rates(instance, prev)
-    if not np.any(v > 0.0):
+    if not np.any(scores > 0.0):
         raise DegenerateInstanceError("all carrier rates are zero")
-    return capped_simplex_normalize(v, instance.system_cc_cap).x
+    return capped_simplex_normalize(scores, cap).x
 
 
 @dataclass(frozen=True)
@@ -273,9 +257,15 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
         init = cfg.initialization
         if init.dims() != (instance.num_ues, instance.num_ccs, instance.num_rbs_per_cc):
             raise ValueError("custom initialization does not match the instance dimensions")
-        alpha, beta, gamma = init.alpha.copy(), init.beta.copy(), init.gamma.copy()
+        previous = init.alpha, init.beta, init.gamma
     else:
-        alpha, beta, gamma = _uniform_initialization(instance)
+        previous = _uniform_initialization(instance)
+    # The floor lifts start entries in (0, zero_tolerance); after every
+    # _snap the iterate already lies in {0} and (zero_tolerance, 1], so the
+    # sweeps run on plain arrays. Sweep 1's change is measured from the start
+    # as given.
+    start = RelaxedAllocation(*previous, floor=cfg.zero_tolerance)
+    alpha, beta, gamma = start.alpha, start.beta, start.gamma
 
     trace: Optional[List[IterationRecord]] = [] if cfg.record_trace else None
     phi = instance.utilities
@@ -284,17 +274,18 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     converged = False
 
     for iteration in range(1, cfg.max_iterations + 1):
-        prev = RelaxedAllocation(alpha, beta, gamma, floor=cfg.zero_tolerance)
-        new_alpha = update_alpha(instance, prev)
-        new_beta = update_beta(instance, prev)
-        new_gamma = update_gamma(instance, prev)
+        scores = _sweep_scores(instance, alpha, beta, gamma)
+        new_alpha = update_alpha(scores[0], alpha)
+        new_beta = update_beta(scores[1], beta, instance.ue_cc_caps)
+        new_gamma = update_gamma(scores[2], instance.system_cc_cap)
 
         residual = 0.0
         zero_rate: tuple = ()
         if cfg.record_trace:
             residual, zero_rate = _sum_identity_residual(
-                instance, prev, new_alpha, new_beta, new_gamma
+                instance, scores, new_alpha, new_beta, new_gamma
             )
+        del scores  # free the K*M*N block scores before _snap copies the shares
 
         new_alpha = _snap(new_alpha, cfg.snap_tolerance, cfg.zero_tolerance)
         new_beta = _snap(new_beta, cfg.snap_tolerance, cfg.zero_tolerance)
@@ -311,11 +302,10 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
             new_alpha[:, dead, :] = 0.0
 
         max_change = max(
-            float(np.abs(new_alpha - alpha).max()),
-            float(np.abs(new_beta - beta).max()),
-            float(np.abs(new_gamma - gamma).max()),
+            float(np.abs(new - old).max())
+            for new, old in zip((new_alpha, new_beta, new_gamma), previous)
         )
-        alpha, beta, gamma = new_alpha, new_beta, new_gamma
+        alpha, beta, gamma = previous = new_alpha, new_beta, new_gamma
         iterations_run = iteration
 
         if cfg.record_trace:
@@ -346,30 +336,24 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     )
 
 
-def _sum_identity_residual(instance, prev, new_alpha, new_beta, new_gamma):
-    """Worst deviation of the raw update from its normalization identities."""
-    scores = prev.alpha * prev.beta[:, :, None] * _weighted_utilities(instance)
-    live_cols = scores.sum(axis=0) > 0
+def _sum_identity_residual(instance, scores, new_alpha, new_beta, new_gamma):
+    """Worst deviation of the raw update from its normalization identities,
+    and the users whose carrier-share row was held (all scores zero)."""
+    alpha_scores, beta_scores, gamma_scores = scores
+    live_cols = alpha_scores.sum(axis=0) > 0
     residual = 0.0
     if live_cols.any():
-        col_sums = new_alpha.sum(axis=0)
-        residual = float(np.abs(col_sums[live_cols] - 1.0).max())
+        residual = float(np.abs(new_alpha.sum(axis=0)[live_cols] - 1.0).max())
 
-    v_beta = prev.beta * beta_rates(instance, prev)
-    zero_rate = []
-    for k in range(instance.num_ues):
-        positives = int((v_beta[k] > 0).sum())
-        if positives == 0:
-            zero_rate.append(k)
-            continue
-        expected = min(int(instance.ue_cc_caps[k]), positives)
-        residual = max(residual, abs(float(new_beta[k].sum()) - expected))
+    positives = (beta_scores > 0).sum(axis=1)
+    live_rows = positives > 0
+    if live_rows.any():
+        deviation = np.abs(new_beta.sum(axis=1) - np.minimum(instance.ue_cc_caps, positives))
+        residual = max(residual, float(deviation[live_rows].max()))
 
-    v_gamma = prev.gamma * gamma_rates(instance, prev)
-    positives = int((v_gamma > 0).sum())
-    expected = min(instance.system_cc_cap, positives)
+    expected = min(instance.system_cc_cap, int((gamma_scores > 0).sum()))
     residual = max(residual, abs(float(new_gamma.sum()) - expected))
-    return residual, tuple(zero_rate)
+    return residual, tuple(np.flatnonzero(~live_rows).tolist())
 
 
 def relaxed_wsu_trace(result: SgpaResult) -> List[tuple]:

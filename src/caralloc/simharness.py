@@ -52,6 +52,9 @@ SWEEP_ALGORITHMS = {
     "oracle": lambda instance, config: brute_force_oracle(instance, config.oracle_budget)[1],
 }
 
+#: Smallest kept/dropped rate ratio r[M_k-1] / r[M_k] that fig1_experiment accepts.
+FIG1_MIN_RATE_RATIO = 1.25
+
 CSV_HEADER = ["algorithm", "M", "Mk", "M0", "trials", "mean_wsu", "stderr_wsu", "mean_solve_seconds"]
 
 
@@ -262,9 +265,11 @@ def run_sweep(config: SweepConfig) -> List[ResultRow]:
 
     Deterministic apart from the timing column. A grid point whose exhaustive
     search would exceed the budget gets its oracle row marked skipped (the
-    other algorithms still run).
+    other algorithms still run). With ``jobs > 1`` the trials of every grid
+    point share one process pool.
     """
-    rows: List[ResultRow] = []
+    points = []
+    tasks = []
     for grid_index, m, mk in config.grid_points():
         caps = np.full(config.gen.K, mk)
         m0 = min(m, config.gen.system_cc_cap_limit)
@@ -293,17 +298,24 @@ def run_sweep(config: SweepConfig) -> List[ResultRow]:
                     )
                 )
 
+        points.append((m, mk, m0, algorithms, skipped_rows))
         trial_config = replace(config, algorithms=tuple(algorithms))
-        tasks = [
+        tasks.extend(
             (trial_config, grid_index, m, mk, trial_index)
             for trial_index in range(config.trials)
-        ]
-        if config.jobs > 1:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-                trial_results = list(pool.map(_run_trial, tasks, chunksize=8))
-        else:
-            trial_results = [_run_trial(task) for task in tasks]
+        )
 
+    if config.jobs > 1:
+        # One trial per task: trial cost grows along the grid, so larger
+        # chunks would leave one worker running the heaviest ones alone.
+        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+            results = list(pool.map(_run_trial, tasks))
+    else:
+        results = [_run_trial(task) for task in tasks]
+
+    rows: List[ResultRow] = []
+    for point_index, (m, mk, m0, algorithms, skipped_rows) in enumerate(points):
+        trial_results = results[point_index * config.trials : (point_index + 1) * config.trials]
         for algorithm in algorithms:
             wsus = np.array([res[algorithm][0] for res in trial_results])
             times = np.array([res[algorithm][1] for res in trial_results])
@@ -365,15 +377,7 @@ def write_metadata(config: SweepConfig, rows: Sequence[ResultRow], path) -> None
         json.dump(doc, fh, indent=2)
 
 
-def fig1_experiment(
-    M: int,
-    M_k: int,
-    iterations: int,
-    seed: int,
-    min_rate_ratio: float = 1.25,
-    snap_tolerance: float = 1e-9,
-    zero_tolerance: float = 1e-12,
-) -> np.ndarray:
+def fig1_experiment(M: int, M_k: int, iterations: int, seed: int) -> np.ndarray:
     """Carrier-share iteration in isolation, for convergence studies.
 
     Blocks and activations are pinned to 1, so only one user's carrier-share
@@ -381,11 +385,11 @@ def fig1_experiment(
     rates are unit-mean exponential draws sorted descending, so the target
     carriers are always indices 0..M_k-1. Returns the (iterations + 1, M)
     trajectory; row 0 is a random positive initialization summing to M_k.
+    Each sweep is snapped with the default :class:`SgpaConfig` tolerances.
 
     The number of iterations needed to resolve the boundary between kept and
     dropped carriers grows like 1 / log(r[M_k-1] / r[M_k]), so draws are
-    rejected until that ratio reaches ``min_rate_ratio``; pass 1.0 to accept
-    any draw.
+    rejected until that ratio reaches ``FIG1_MIN_RATE_RATIO``.
     """
     if not M >= M_k >= 1:
         raise ValueError("need M >= M_k >= 1")
@@ -397,14 +401,16 @@ def fig1_experiment(
         rates = np.sort(rng.exponential(1.0, size=M))[::-1]
         if M_k == M or rates[M_k] == 0:
             break
-        if rates[M_k - 1] / rates[M_k] >= min_rate_ratio:
+        if rates[M_k - 1] / rates[M_k] >= FIG1_MIN_RATE_RATIO:
             break
 
+    tolerances = SgpaConfig()
     start = capped_simplex_normalize(rng.uniform(0.5, 1.5, size=M), M_k).x
     trajectory = np.empty((iterations + 1, M))
     trajectory[0] = start
     x = start
     for i in range(1, iterations + 1):
-        x = _snap(capped_simplex_normalize(x * rates, M_k).x, snap_tolerance, zero_tolerance)
+        x = capped_simplex_normalize(x * rates, M_k).x
+        x = _snap(x, tolerances.snap_tolerance, tolerances.zero_tolerance)
         trajectory[i] = x
     return trajectory

@@ -3,8 +3,12 @@
 Each case samples instance ``(SEED, (0, t))`` -- the keying of ``run_sweep``
 grid point 0 -- and runs every algorithm on it. A case's digest hashes the
 int8 ``alpha``/``beta``/``gamma`` bytes and ``repr(wsu)``, so any change in
-any allocated entry or in the last bit of the objective shows. Refactors
-must leave every digest unchanged.
+any allocated entry or in the last bit of the objective shows. The solver's
+run is pinned as well, at 20 and at 200 sweeps: the float64 bytes of its
+relaxed iterate, its iteration count, its convergence flag and every trace
+record. One more case starts the solver from a custom iterate with entries
+below a raised ``zero_tolerance``. Refactors must leave every digest
+unchanged.
 
 Regenerate (only for an intended change of behaviour) with::
 
@@ -15,6 +19,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from caralloc.baselines import (
@@ -23,8 +28,8 @@ from caralloc.baselines import (
     heuristic_solve,
     oracle_enumeration_count,
 )
-from caralloc.core import evaluate_wsu
-from caralloc.sgpa import solve
+from caralloc.core import RelaxedAllocation, evaluate_wsu
+from caralloc.sgpa import SgpaConfig, solve
 from caralloc.simharness import GenParams, sample_instance
 
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
@@ -32,6 +37,8 @@ SEED = 20170611
 TRIALS = 6
 #: The oracle runs only where the exhaustive search stays this small.
 ORACLE_MAX_ENUMERATIONS = 20_000
+#: Sweep budgets at which the solver's relaxed iterate and trace are pinned.
+ITERATE_SWEEPS = (20, 200)
 
 #: (K, M, N, Mk, M0)
 SHAPES = (
@@ -56,6 +63,12 @@ def case_id(case):
     return "K{}-M{}-N{}-Mk{}-M0{}-{}-t{}".format(*case)
 
 
+#: Custom-start case: instance, raised zero tolerance, start entries below it.
+CUSTOM_START_CASE = (4, 6, 4, 2, 2, "uniform_simplex", 0)
+CUSTOM_START_ID = "custom-start-" + case_id(CUSTOM_START_CASE)
+CUSTOM_ZERO_TOLERANCE = 1e-6
+
+
 def case_instance(case):
     K, M, N, Mk, M0, mode, trial = case
     return sample_instance(
@@ -72,6 +85,50 @@ def digest(allocation, wsu):
     return h.hexdigest()[:16]
 
 
+def iterate_digest(instance, config):
+    result = solve(instance, config)
+    h = hashlib.sha256()
+    for arr in (result.relaxed.alpha, result.relaxed.beta, result.relaxed.gamma):
+        assert arr.dtype == np.float64
+        h.update(arr.tobytes())
+    h.update(repr((result.iterations_run, result.converged)).encode())
+    for rec in result.trace:
+        h.update(repr(rec).encode())
+    return h.hexdigest()[:16]
+
+
+def iterate_digests(instance, **config):
+    return {
+        f"sgpa_iterate_{sweeps}": iterate_digest(
+            instance, SgpaConfig(max_iterations=sweeps, record_trace=True, **config)
+        )
+        for sweeps in ITERATE_SWEEPS
+    }
+
+
+def custom_start():
+    """A start whose entries in (0, CUSTOM_ZERO_TOLERANCE) the solver lifts."""
+    K, M, N = CUSTOM_START_CASE[:3]
+    rng = np.random.default_rng(SEED)
+    alpha = rng.uniform(0.0, 1.0, (K, M, N))
+    beta = rng.uniform(0.0, 1.0, (K, M))
+    gamma = rng.uniform(0.0, 1.0, M)
+    alpha[0, :, 0] = 3e-7
+    alpha[1, 2, :] = 0.0
+    beta[1, :2] = 5e-8
+    beta[2, 3] = 0.0
+    gamma[5] = 2e-7
+    return RelaxedAllocation(alpha, beta, gamma)
+
+
+def custom_start_digests():
+    return iterate_digests(
+        case_instance(CUSTOM_START_CASE),
+        zero_tolerance=CUSTOM_ZERO_TOLERANCE,
+        initialization=custom_start(),
+    )
+
+
 def case_digests(instance):
     result = solve(instance)
     greedy = greedy_unconstrained(instance).allocation
@@ -84,13 +141,21 @@ def case_digests(instance):
     required = oracle_enumeration_count(instance.M, instance.ue_cc_caps, instance.system_cc_cap)
     if required <= ORACLE_MAX_ENUMERATIONS:
         out["oracle"] = digest(*brute_force_oracle(instance))
+    out.update(iterate_digests(instance))
+    return out
+
+
+def all_digests():
+    out = {case_id(case): case_digests(case_instance(case)) for case in CASES}
+    out[CUSTOM_START_ID] = custom_start_digests()
     return out
 
 
 def test_digest_file_covers_every_case():
     golden = json.loads(DIGEST_FILE.read_text())
-    assert sorted(golden) == sorted(case_id(case) for case in CASES)
-    assert sum("oracle" in entry for entry in golden.values()) >= len(golden) // 2
+    assert sorted(golden) == sorted([case_id(case) for case in CASES] + [CUSTOM_START_ID])
+    assert sum("oracle" in entry for entry in golden.values()) >= len(CASES) // 2
+    assert all(f"sgpa_iterate_{sweeps}" in entry for entry in golden.values() for sweeps in ITERATE_SWEEPS)
 
 
 @pytest.mark.parametrize("case", CASES, ids=case_id)
@@ -99,5 +164,10 @@ def test_outputs_match_golden(case):
     assert case_digests(case_instance(case)) == golden
 
 
+def test_custom_start_matches_golden():
+    golden = json.loads(DIGEST_FILE.read_text())[CUSTOM_START_ID]
+    assert custom_start_digests() == golden
+
+
 if __name__ == "__main__":
-    print(json.dumps({case_id(c): case_digests(case_instance(c)) for c in CASES}, indent=1, sort_keys=True))
+    print(json.dumps(all_digests(), indent=1, sort_keys=True))

@@ -8,6 +8,7 @@ from caralloc.baselines import greedy_unconstrained
 from caralloc.sgpa import (
     DegenerateInstanceError,
     SgpaConfig,
+    _sweep_scores,
     capped_simplex_normalize,
     relaxed_wsu_trace,
     solve,
@@ -62,33 +63,50 @@ class TestConfig:
             SgpaConfig(zero_tolerance=0.0)
 
 
+class TestSweepScores:
+    def test_hand_example(self):
+        # K=2, M=2, N=1. Weighted utilities W = w * phi = [[2, 8], [6, 3]];
+        # rates r = alpha * W = [[1, 2], [3, 2.25]].
+        instance = make_instance([2.0, 3.0], [[[1.0], [4.0]], [[2.0], [1.0]]], [1, 1], 1)
+        alpha = np.array([[[0.5], [0.25]], [[0.5], [0.75]]])
+        beta = np.array([[0.5, 1.0], [1.0, 0.5]])
+        gamma = np.array([0.5, 0.25])
+        blocks, carriers, activations = _sweep_scores(instance, alpha, beta, gamma)
+        # alpha * beta * W
+        np.testing.assert_array_equal(blocks[:, :, 0], [[0.5, 2.0], [3.0, 1.125]])
+        # beta * gamma * r
+        np.testing.assert_array_equal(carriers, [[0.25, 0.5], [1.5, 0.28125]])
+        # gamma * sum_k beta * r = [0.5 * 3.5, 0.25 * 3.125]
+        np.testing.assert_array_equal(activations, [1.75, 0.78125])
+
+        # The activations cancel out of the block update: only the carrier
+        # and activation scores move with gamma.
+        blocks2, carriers2, activations2 = _sweep_scores(instance, alpha, beta, 2.0 * gamma)
+        np.testing.assert_array_equal(blocks2, blocks)
+        np.testing.assert_array_equal(carriers2, 2.0 * carriers)
+        np.testing.assert_array_equal(activations2, 2.0 * activations)
+
+
 class TestUpdateAlpha:
     def test_reweighting_hand_example(self):
         # One block, two users: shares [0.5, 0.5], products [4, 1] -> [0.8, 0.2].
         phi = np.array([[[4.0]], [[1.0]]])
-        inst = make_instance([1.0, 1.0], phi, [1, 1], 1)
-        prev = RelaxedAllocation(np.full((2, 1, 1), 0.5), np.ones((2, 1)), np.ones(1))
-        out = update_alpha(inst, prev)
+        alpha = np.full((2, 1, 1), 0.5)
+        out = update_alpha(alpha * phi, alpha)
         np.testing.assert_allclose(out[:, 0, 0], [0.8, 0.2])
 
     def test_equal_rates_preserve_direction(self):
         phi = np.array([[[3.0]], [[3.0]]])
-        inst = make_instance([1.0, 1.0], phi, [1, 1], 1)
-        prev = RelaxedAllocation(
-            np.array([[[0.9]], [[0.1]]]), np.ones((2, 1)), np.ones(1)
-        )
-        out = update_alpha(inst, prev)
+        alpha = np.array([[[0.9]], [[0.1]]])
+        out = update_alpha(alpha * phi, alpha)
         np.testing.assert_allclose(out[:, 0, 0], [0.9, 0.1])
 
     def test_iterated_update_converges_to_argmax(self):
         rng = np.random.default_rng(0)
         phi = rng.uniform(0.1, 1.0, (4, 1, 1))
-        inst = make_instance(np.ones(4), phi, [1, 1, 1, 1], 1)
         alpha = np.full((4, 1, 1), 0.25)
-        beta = np.ones((4, 1))
-        gamma = np.ones(1)
         for _ in range(50):
-            alpha = update_alpha(inst, RelaxedAllocation(alpha, beta, gamma))
+            alpha = update_alpha(alpha * phi, alpha)
         expected = np.zeros(4)
         expected[np.argmax(phi[:, 0, 0])] = 1.0
         np.testing.assert_allclose(alpha[:, 0, 0], expected, atol=1e-6)
@@ -96,9 +114,8 @@ class TestUpdateAlpha:
     def test_zero_column_is_held(self):
         phi = np.zeros((2, 1, 2))
         phi[:, 0, 0] = [1.0, 2.0]  # second block has zero utility for everyone
-        inst = make_instance([1.0, 1.0], phi, [1, 1], 1)
-        prev = RelaxedAllocation(np.full((2, 1, 2), 0.5), np.ones((2, 1)), np.ones(1))
-        out = update_alpha(inst, prev)
+        alpha = np.full((2, 1, 2), 0.5)
+        out = update_alpha(alpha * phi, alpha)
         np.testing.assert_array_equal(out[:, 0, 1], [0.5, 0.5])
         assert out[:, 0, 0].sum() == pytest.approx(1.0)
 
@@ -107,37 +124,32 @@ class TestUpdateBeta:
     def test_capped_normalization_hand_example(self):
         # Rates per carrier [9, 3, 3], uniform previous shares 1/3, cap 1:
         # scores [3, 1, 1] -> kappa 5 -> [0.6, 0.2, 0.2].
-        phi = np.array([[[9.0], [3.0], [3.0]]])
-        inst = make_instance([1.0], phi, [1], 3)
-        prev = RelaxedAllocation(np.ones((1, 3, 1)), np.full((1, 3), 1.0 / 3.0), np.ones(3))
-        out = update_beta(inst, prev)
+        rates = np.array([[9.0, 3.0, 3.0]])
+        beta = np.full((1, 3), 1.0 / 3.0)
+        out = update_beta(beta * rates, beta, [1])
         np.testing.assert_allclose(out[0], [0.6, 0.2, 0.2])
 
     def test_slack_cap_saturates_everything(self):
         rng = np.random.default_rng(1)
         phi = rng.uniform(0.1, 1.0, (2, 3, 2))
-        inst = make_instance([1.0, 1.0], phi, [3, 3], 3)
-        prev = RelaxedAllocation(
-            np.full((2, 3, 2), 0.5), rng.uniform(0.1, 1.0, (2, 3)), np.ones(3)
-        )
-        out = update_beta(inst, prev)
+        beta = rng.uniform(0.1, 1.0, (2, 3))
+        # Block shares 0.5 everywhere: rates are 0.5 * phi summed over blocks.
+        out = update_beta(beta * (0.5 * phi).sum(axis=2), beta, [3, 3])
         np.testing.assert_array_equal(out, np.ones((2, 3)))
 
     def test_zero_rate_carrier_absorbs_to_zero(self):
-        phi = np.array([[[2.0], [0.0]]])  # carrier 1 worthless
-        inst = make_instance([1.0], phi, [1], 2)
-        prev = RelaxedAllocation(np.ones((1, 2, 1)), np.full((1, 2), 0.5), np.ones(2))
-        out = update_beta(inst, prev)
+        rates = np.array([[2.0, 0.0]])  # carrier 1 worthless
+        beta = np.full((1, 2), 0.5)
+        out = update_beta(beta * rates, beta, [1])
         assert out[0, 1] == 0.0
-        again = update_beta(inst, RelaxedAllocation(np.ones((1, 2, 1)), out, np.ones(2)))
+        again = update_beta(out * rates, out, [1])
         assert again[0, 1] == 0.0
 
     def test_all_zero_rates_hold_row(self):
-        phi = np.zeros((2, 2, 1))
-        phi[1] = 1.0  # only user 1 sees anything
-        inst = make_instance([1.0, 1.0], phi, [1, 1], 2)
-        prev = RelaxedAllocation(np.full((2, 2, 1), 0.5), np.full((2, 2), 0.4), np.ones(2))
-        out = update_beta(inst, prev)
+        rates = np.zeros((2, 2))
+        rates[1] = 1.0  # only user 1 sees anything
+        beta = np.full((2, 2), 0.4)
+        out = update_beta(beta * rates, beta, [1, 1])
         np.testing.assert_array_equal(out[0], [0.4, 0.4])  # held
         assert out[1].sum() == pytest.approx(1.0)
 
@@ -146,29 +158,24 @@ class TestUpdateGamma:
     def test_slack_cap_saturates(self):
         rng = np.random.default_rng(2)
         phi = rng.uniform(0.1, 1.0, (2, 2, 2))
-        inst = make_instance([1.0, 1.0], phi, [2, 2], 2)
-        prev = RelaxedAllocation(np.full((2, 2, 2), 0.5), np.ones((2, 2)), np.full(2, 0.5))
-        np.testing.assert_array_equal(update_gamma(inst, prev), [1.0, 1.0])
+        gamma = np.full(2, 0.5)
+        # Block shares 0.5, carrier shares 1: rates are 0.5 * phi summed over
+        # users and blocks.
+        np.testing.assert_array_equal(update_gamma(gamma * (0.5 * phi).sum(axis=(0, 2)), 2), [1.0, 1.0])
 
     def test_capped_hand_example(self):
         # Scores gamma*rate = [3, 1], cap 1 -> kappa 4 -> [0.75, 0.25].
-        phi = np.array([[[6.0], [2.0]]])
-        inst = make_instance([1.0], phi, [2], 1)
-        prev = RelaxedAllocation(np.ones((1, 2, 1)), np.ones((1, 2)), np.full(2, 0.5))
-        out = update_gamma(inst, prev)
+        rates = np.array([6.0, 2.0])
+        out = update_gamma(np.full(2, 0.5) * rates, 1)
         np.testing.assert_allclose(out, [0.75, 0.25])
 
     def test_symmetric_tie_makes_no_progress(self):
-        phi = np.array([[[2.0], [2.0]]])
-        inst = make_instance([1.0], phi, [2], 1)
-        prev = RelaxedAllocation(np.ones((1, 2, 1)), np.ones((1, 2)), np.full(2, 0.5))
-        np.testing.assert_allclose(update_gamma(inst, prev), [0.5, 0.5])
+        rates = np.array([2.0, 2.0])
+        np.testing.assert_allclose(update_gamma(np.full(2, 0.5) * rates, 1), [0.5, 0.5])
 
     def test_degenerate_instance_raises(self):
-        inst = make_instance([1.0], np.zeros((1, 2, 1)), [1], 1)
-        prev = RelaxedAllocation(np.ones((1, 2, 1)), np.ones((1, 2)), np.full(2, 0.5))
         with pytest.raises(DegenerateInstanceError):
-            update_gamma(inst, prev)
+            update_gamma(np.full(2, 0.5) * np.zeros(2), 1)
 
 
 class TestFixedRateIteration:
