@@ -85,14 +85,23 @@ def greedy_unconstrained(instance: ProblemInstance) -> GreedyResult:
     return GreedyResult(BinaryAllocation(alpha, beta, gamma), within_caps)
 
 
-def _carrier_selection_lp(gains: np.ndarray, caps: np.ndarray, system_cap: int) -> LinearProgram:
+def _carrier_selection_lp(instance: ProblemInstance) -> LinearProgram:
     """Exact linearization of maximizing sum of gains[k, m] * beta[k, m] * gamma[m].
 
-    Variables are ordered [t (K*M), beta (K*M), gamma (M)], all in [0, 1],
-    with t <= beta, t <= gamma, per-user sum beta <= cap, sum gamma <=
-    system cap. At an optimum t = min(beta, gamma) because the gains are
-    nonnegative, so the t-objective equals the intended product objective.
+    The gains are each user's weighted utility summed over a carrier's
+    blocks, divided by their max: the simplex tolerances are absolute, so the
+    LP sees gains on a fixed scale, and scaling every utility leaves the
+    allocation unchanged. Variables are ordered [t (K*M), beta (K*M), gamma
+    (M)], all in [0, 1], with t <= beta, t <= gamma, per-user sum beta <=
+    cap, sum gamma <= system cap. At an optimum t = min(beta, gamma) because
+    the gains are nonnegative, so the t-objective equals the intended
+    product objective.
     """
+    gains = instance.weights[:, None] * instance.utilities.sum(axis=2)
+    top = gains.max()
+    if top > 0:
+        gains = gains / top
+    caps, system_cap = instance.ue_cc_caps, instance.system_cc_cap
     K, M = gains.shape
     km = K * M
     n = 2 * km + M
@@ -142,15 +151,7 @@ def heuristic_solve(instance: ProblemInstance) -> BinaryAllocation:
     the iterative solver ends with, scoring blocks by weighted utility.
     """
     K, M = instance.num_ues, instance.num_ccs
-    gains = instance.weights[:, None] * instance.utilities.sum(axis=2)
-    # The simplex tolerances are absolute, so the LP sees gains on a fixed
-    # scale; scaling every utility then leaves the allocation unchanged.
-    top = gains.max()
-    if top > 0:
-        gains = gains / top
-
-    lp = _carrier_selection_lp(gains, instance.ue_cc_caps, instance.system_cc_cap)
-    sol = solve_lp(lp)
+    sol = solve_lp(_carrier_selection_lp(instance))
     if sol.status is not LpStatus.OPTIMAL:
         raise RuntimeError(f"carrier-selection LP came back {sol.status.value}")
 

@@ -210,7 +210,7 @@ def cmd_fig1(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["iteration"] + [f"cc{m}" for m in range(args.M)])
         for i, row in enumerate(trajectory):
-            writer.writerow([i] + [repr(v) for v in row])
+            writer.writerow([i] + [repr(float(v)) for v in row])
     print(f"wrote {args.output} ({trajectory.shape[0]} rows)")
     return EXIT_OK
 

@@ -6,8 +6,12 @@ leaving choices both use Bland's smallest-index rule, which cannot cycle, so
 every run terminates; all choices are index-based, so repeated runs on the
 same input pivot identically.
 
-Intended for the small, dense problems produced in this package (a few
-thousand variables at most). No sparsity, no factorization updates.
+Intended for the small problems produced in this package (a few thousand
+variables at most). The tableau is stored dense, but a pivot rewrites only
+the rows whose entry in the pivot column is nonzero, and the ratio test reads
+only the rows the entering column moves; rows it skips would be left as they
+are anyway, so the pivots and the vertex are those of a full-tableau update.
+No factorization updates.
 """
 
 from __future__ import annotations
@@ -68,9 +72,15 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
+    """Solver output; ``pivots`` counts basis changes over both phases,
+    ``bound_flips`` the steps where the entering variable crossed its box
+    without changing the basis."""
+
     status: LpStatus
     x: np.ndarray
     objective_value: float
+    pivots: int = 0
+    bound_flips: int = 0
 
 
 class _Tableau:
@@ -86,6 +96,8 @@ class _Tableau:
         self.at_upper = np.zeros(self.n + self.m, dtype=bool)
         self.x_basic = lp.constraint_rhs - lp.constraint_matrix @ self.lower[: self.n]
         self.num_artificial = 0
+        self.pivots = 0
+        self.bound_flips = 0
 
     @property
     def total(self) -> int:
@@ -114,6 +126,9 @@ class _Tableau:
             self.x_basic[r] = -self.x_basic[r]
         return art
 
+    def solution(self, status: LpStatus, x: np.ndarray, value: float) -> LpSolution:
+        return LpSolution(status, x, value, self.pivots, self.bound_flips)
+
     def nonbasic_value(self, j: int) -> float:
         return self.upper[j] if self.at_upper[j] else self.lower[j]
 
@@ -121,67 +136,73 @@ class _Tableau:
         return c_all - c_all[self.basis] @ self.T
 
     def pivot(self, row: int, col: int):
-        self.T[row] /= self.T[row, col]
-        other = self.T[:, col].copy()
-        other[row] = 0.0
-        self.T -= np.outer(other, self.T[row])
+        """Make ``col`` basic in ``row``, rewriting only the rows it reaches."""
+        T = self.T
+        T[row] /= T[row, col]
+        touched = np.flatnonzero(T[:, col])
+        touched = touched[touched != row]
+        T[touched] -= np.outer(T[touched, col], T[row])
+        self.pivots += 1
 
     def run(self, c_all: np.ndarray, enterable: np.ndarray) -> LpStatus:
         """Iterate to optimality for the given objective."""
         rc = self.reduced_costs(c_all)
-        is_basic = np.zeros(self.total, dtype=bool)
-        is_basic[self.basis] = True
+        eligible = enterable.copy()  # enterable and nonbasic
+        eligible[self.basis] = False
         max_pivots = _MAX_PIVOTS_BASE + 50 * (self.total + self.m)
 
         for step in range(max_pivots):
             if step and step % _RC_REFRESH_PERIOD == 0:
                 rc = self.reduced_costs(c_all)
 
-            can_increase = (~is_basic) & enterable & (~self.at_upper) & (rc > PIVOT_TOL)
-            can_decrease = (~is_basic) & enterable & self.at_upper & (rc < -PIVOT_TOL)
-            candidates = np.flatnonzero(can_increase | can_decrease)
-            if candidates.size == 0:
+            improving = eligible & np.where(self.at_upper, rc < -PIVOT_TOL, rc > PIVOT_TOL)
+            enter = int(improving.argmax())
+            if not improving[enter]:
                 return LpStatus.OPTIMAL
-            enter = int(candidates[0])
-            sigma = 1.0 if can_increase[enter] else -1.0
+            sigma = -1.0 if self.at_upper[enter] else 1.0
 
             move = sigma * self.T[:, enter]
             span = self.upper[enter] - self.lower[enter]
 
-            # How far each basic variable lets us go before hitting a bound.
-            room = np.full(self.m, np.inf)
-            toward_lower = move > PIVOT_TOL
-            toward_upper = move < -PIVOT_TOL
-            lo_b = self.lower[self.basis]
-            up_b = self.upper[self.basis]
-            room[toward_lower] = (self.x_basic[toward_lower] - lo_b[toward_lower]) / move[toward_lower]
-            room[toward_upper] = (up_b[toward_upper] - self.x_basic[toward_upper]) / (-move[toward_upper])
-            np.clip(room, 0.0, None, out=room)
-
-            min_room = room.min() if self.m else np.inf
+            # How far each moving basic variable lets us go before hitting a
+            # bound; rows with |move| <= PIVOT_TOL never block.
+            rows = np.flatnonzero(np.abs(move) > PIVOT_TOL)
+            min_room = np.inf
+            if rows.size:
+                row_move = move[rows]
+                basic = self.basis[rows]
+                x_rows = self.x_basic[rows]
+                room = np.where(
+                    row_move > 0,
+                    (x_rows - self.lower[basic]) / row_move,
+                    (self.upper[basic] - x_rows) / -row_move,
+                )
+                np.clip(room, 0.0, None, out=room)
+                min_room = room.min()
             delta = min(span, min_room)
             if not np.isfinite(delta):
                 return LpStatus.UNBOUNDED
 
             if span <= min_room:
                 self.at_upper[enter] = not self.at_upper[enter]
-                self.x_basic = self.x_basic - move * span
+                self.x_basic -= move * span
+                self.bound_flips += 1
                 continue
 
-            blocking = np.flatnonzero(room <= min_room + 1e-12)
+            blocking = rows[room <= min_room + 1e-12]
             leave_row = int(blocking[np.argmin(self.basis[blocking])])
             leaving = int(self.basis[leave_row])
             leaves_at_upper = bool(move[leave_row] < 0)
 
-            self.x_basic = self.x_basic - move * delta
+            self.x_basic -= move * delta
             entering_value = self.nonbasic_value(enter) + sigma * delta
             self.pivot(leave_row, enter)
-            rc = rc - rc[enter] * self.T[leave_row]
+            rc -= rc[enter] * self.T[leave_row]
             self.basis[leave_row] = enter
             self.x_basic[leave_row] = entering_value
             self.at_upper[leaving] = leaves_at_upper
-            is_basic[leaving] = False
-            is_basic[enter] = True
+            eligible[leaving] = enterable[leaving]
+            eligible[enter] = False
 
         raise RuntimeError("simplex exceeded its pivot budget")
 
@@ -224,11 +245,11 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         c_phase1[art] = -1.0
         status = tab.run(c_phase1, np.ones(tab.total, dtype=bool))
         if status is not LpStatus.OPTIMAL:
-            return LpSolution(LpStatus.INFEASIBLE, np.zeros(n), 0.0)
+            return tab.solution(LpStatus.INFEASIBLE, np.zeros(n), 0.0)
         basic_art = np.isin(tab.basis, art)
         infeasibility = float(tab.x_basic[basic_art].sum()) if basic_art.any() else 0.0
         if infeasibility > FEASIBILITY_TOL:
-            return LpSolution(LpStatus.INFEASIBLE, np.zeros(n), 0.0)
+            return tab.solution(LpStatus.INFEASIBLE, np.zeros(n), 0.0)
         _drive_out_artificials(tab, art)
         tab.upper[art] = 0.0  # pin any leftover artificials at zero
 
@@ -239,7 +260,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         enterable[n + m :] = False
     status = tab.run(c_all, enterable)
     if status is not LpStatus.OPTIMAL:
-        return LpSolution(status, np.zeros(n), 0.0)
+        return tab.solution(status, np.zeros(n), 0.0)
 
     x = np.empty(n)
     row_of = {int(var): row for row, var in enumerate(tab.basis)}
@@ -247,4 +268,4 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         row = row_of.get(j)
         x[j] = tab.x_basic[row] if row is not None else tab.nonbasic_value(j)
     np.clip(x, lp.variable_bounds[:, 0], lp.variable_bounds[:, 1], out=x)
-    return LpSolution(LpStatus.OPTIMAL, x, float(lp.objective @ x))
+    return tab.solution(LpStatus.OPTIMAL, x, float(lp.objective @ x))

@@ -1,10 +1,13 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
+import csv
 import json
+
+import numpy as np
 
 from caralloc.cli import main
 from caralloc.core import BinaryAllocation, ProblemInstance
-from caralloc.simharness import GenParams, SweepConfig, run_sweep
+from caralloc.simharness import GenParams, SweepConfig, fig1_experiment, run_sweep
 
 
 def run(capsys, *argv):
@@ -145,6 +148,18 @@ class TestFig1Command:
         lines = out_path.read_text().strip().splitlines()
         assert lines[0] == "iteration," + ",".join(f"cc{m}" for m in range(8))
         assert len(lines) == 14  # header + initialization + 12 iterations
+
+    def test_share_cells_read_back_as_floats(self, tmp_path, capsys):
+        out_path = tmp_path / "traj.csv"
+        code, _, _ = run(
+            capsys, "fig1", "--M", "4", "--Mk", "2", "--iterations", "1",
+            "--seed", "1", "-o", str(out_path),
+        )
+        assert code == 0
+        with open(out_path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        shares = np.array([[float(cell) for cell in row[1:]] for row in rows])
+        np.testing.assert_array_equal(shares, fig1_experiment(4, 2, 1, 1))
 
 
 class TestOracleCompare:

@@ -6,9 +6,10 @@ int8 ``alpha``/``beta``/``gamma`` bytes and ``repr(wsu)``, so any change in
 any allocated entry or in the last bit of the objective shows. The solver's
 run is pinned as well, at 20 and at 200 sweeps: the float64 bytes of its
 relaxed iterate, its iteration count, its convergence flag and every trace
-record. One more case starts the solver from a custom iterate with entries
-below a raised ``zero_tolerance``. Refactors must leave every digest
-unchanged.
+record. The heuristic's carrier-selection LP is pinned by the float64 bytes
+of its solution ``x`` and ``repr`` of its objective value. One more case
+starts the solver from a custom iterate with entries below a raised
+``zero_tolerance``. Refactors must leave every digest unchanged.
 
 Regenerate (only for an intended change of behaviour) with::
 
@@ -23,12 +24,14 @@ import numpy as np
 import pytest
 
 from caralloc.baselines import (
+    _carrier_selection_lp,
     brute_force_oracle,
     greedy_unconstrained,
     heuristic_solve,
     oracle_enumeration_count,
 )
 from caralloc.core import RelaxedAllocation, evaluate_wsu
+from caralloc.lp import solve_lp
 from caralloc.sgpa import SgpaConfig, solve
 from caralloc.simharness import GenParams, sample_instance
 
@@ -85,6 +88,15 @@ def digest(allocation, wsu):
     return h.hexdigest()[:16]
 
 
+def lp_digest(instance):
+    solution = solve_lp(_carrier_selection_lp(instance))
+    assert solution.x.dtype == np.float64
+    h = hashlib.sha256()
+    h.update(solution.x.tobytes())
+    h.update(repr(solution.objective_value).encode())
+    return h.hexdigest()[:16]
+
+
 def iterate_digest(instance, config):
     result = solve(instance, config)
     h = hashlib.sha256()
@@ -137,6 +149,7 @@ def case_digests(instance):
         "sgpa": digest(result.binary, result.wsu),
         "greedy": digest(greedy, evaluate_wsu(instance, greedy)),
         "heuristic": digest(heuristic, evaluate_wsu(instance, heuristic)),
+        "heuristic_lp": lp_digest(instance),
     }
     required = oracle_enumeration_count(instance.M, instance.ue_cc_caps, instance.system_cc_cap)
     if required <= ORACLE_MAX_ENUMERATIONS:

@@ -2,10 +2,57 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from caralloc.lp import LinearProgram, LpStatus, solve_lp
+from caralloc import lp as lp_module
+from caralloc.baselines import _carrier_selection_lp
+from caralloc.lp import LinearProgram, LpSolution, LpStatus, solve_lp
+from caralloc.simharness import GenParams, sample_instance
 
 from helpers import enumerate_lp_optimum
+
+
+def phase_one_lps():
+    """120 random [0, 1]-box LPs whose rhs may be negative, so phase one runs
+    and some come out infeasible: (c, A, b, lower, upper)."""
+    rng = np.random.default_rng(11)
+    for _ in range(120):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 5))
+        c = rng.normal(size=n)
+        A = rng.normal(size=(m, n))
+        b = rng.uniform(-0.5, 0.5, m)  # may or may not be feasible
+        yield c, A, b, np.zeros(n), np.ones(n)
+
+
+def carrier_selection_lps():
+    """40 heuristic LPs from sampled instances of assorted shapes and caps."""
+    rng = np.random.default_rng(13)
+    for trial in range(40):
+        M = int(rng.integers(2, 11))
+        params = GenParams(
+            K=int(rng.integers(2, 9)), M=M, N=4,
+            ue_cc_cap=int(rng.integers(1, M + 1)),
+            system_cc_cap_limit=int(rng.integers(1, M + 1)),
+            weight_mode=("equal", "uniform_simplex")[trial % 2],
+            seed=13, stream_key=(trial,),
+        )
+        yield _carrier_selection_lp(sample_instance(params))
+
+
+def highs_optimum(lp):
+    """Maximum of ``lp`` by scipy's HiGHS, or None when it reports infeasible."""
+    res = linprog(
+        -lp.objective,
+        A_ub=lp.constraint_matrix,
+        b_ub=lp.constraint_rhs,
+        bounds=lp.variable_bounds,
+        method="highs",
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return -res.fun
 
 
 def box_lp(c, A, b, lower=0.0, upper=1.0):
@@ -101,16 +148,8 @@ class TestAgainstVertexEnumeration:
             assert np.all(sol.x >= lower - 1e-9) and np.all(sol.x <= upper + 1e-9)
 
     def test_random_lps_needing_phase_one(self):
-        rng = np.random.default_rng(11)
         solved = 0
-        for _ in range(120):
-            n = int(rng.integers(1, 5))
-            m = int(rng.integers(1, 5))
-            c = rng.normal(size=n)
-            A = rng.normal(size=(m, n))
-            lower = np.zeros(n)
-            upper = np.ones(n)
-            b = rng.uniform(-0.5, 0.5, m)  # may or may not be feasible
+        for c, A, b, lower, upper in phase_one_lps():
             lp = LinearProgram(c, A, b, np.column_stack([lower, upper]))
             sol = solve_lp(lp)
             ref = None
@@ -142,6 +181,65 @@ class TestAgainstVertexEnumeration:
             if np.all(A @ x <= b):
                 found += 1
                 assert c @ x <= sol.objective_value + 1e-9
+
+
+class TestAgainstHighs:
+    """Objective values agree with an independent solver (scipy's HiGHS)."""
+
+    def test_carrier_selection_lps(self):
+        for lp in carrier_selection_lps():
+            sol = solve_lp(lp)
+            assert sol.status is LpStatus.OPTIMAL
+            assert sol.objective_value == pytest.approx(highs_optimum(lp), abs=1e-7)
+
+    def test_random_lps_needing_phase_one(self):
+        infeasible = 0
+        for c, A, b, lower, upper in phase_one_lps():
+            lp = LinearProgram(c, A, b, np.column_stack([lower, upper]))
+            sol = solve_lp(lp)
+            reference = highs_optimum(lp)
+            if reference is None:
+                assert sol.status is LpStatus.INFEASIBLE
+                infeasible += 1
+            else:
+                assert sol.status is LpStatus.OPTIMAL
+                assert sol.objective_value == pytest.approx(reference, abs=1e-7)
+        assert infeasible > 10
+
+
+class TestCounts:
+    def test_flip_then_degenerate_pivot(self):
+        # max 3x + 2y, x + y <= 1: x flips to its upper bound without a basis
+        # change, then y enters at 0 in place of the tight slack.
+        sol = solve_lp(box_lp([3.0, 2.0], [[1.0, 1.0]], [1.0]))
+        assert (sol.pivots, sol.bound_flips) == (1, 1)
+
+    def test_repeat_runs_report_equal_counts(self):
+        lp = next(carrier_selection_lps())
+        first, second = solve_lp(lp), solve_lp(lp)
+        assert first.pivots > 0
+        assert (first.pivots, first.bound_flips) == (second.pivots, second.bound_flips)
+
+    def test_pivots_count_every_basis_change(self, monkeypatch):
+        calls = []
+        pivot = lp_module._Tableau.pivot
+
+        def counted_pivot(tab, row, col):
+            calls.append(col)
+            pivot(tab, row, col)
+
+        monkeypatch.setattr(lp_module._Tableau, "pivot", counted_pivot)
+        lps = [next(carrier_selection_lps())] + [
+            LinearProgram(c, A, b, np.column_stack([lower, upper]))
+            for c, A, b, lower, upper in phase_one_lps()
+        ]
+        for lp in lps:
+            calls.clear()
+            assert solve_lp(lp).pivots == len(calls)
+
+    def test_positional_constructor_defaults_counts(self):
+        sol = LpSolution(LpStatus.OPTIMAL, np.zeros(1), 0.0)
+        assert (sol.pivots, sol.bound_flips) == (0, 0)
 
 
 class TestValidation:
