@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: gen, solve, sweep, fig1, oracle-compare, bench. Structured
+Subcommands: gen, solve, sweep, fig1, oracle-compare. Structured
 output is JSON on stdout, tabular output is CSV files. Exit codes: 0 on
 success, 2 for usage/config/file problems, 3 when an algorithm emitted an
 allocation that fails its own feasibility guarantee, 4 when the exhaustive
@@ -123,16 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--M0-limit", type=int, default=2)
     p_cmp.add_argument("--budget", type=int, default=10_000_000)
 
-    p_bench = sub.add_parser("bench", help="timing of solver and heuristic across an M grid")
-    p_bench.add_argument("--m-grid", default="10,20,30,40", help="comma-separated carrier counts")
-    p_bench.add_argument("--trials", type=int, default=20)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--K", type=int, default=10)
-    p_bench.add_argument("--N", type=int, default=20)
-    p_bench.add_argument("--Mk", type=int, default=2)
-    p_bench.add_argument("--M0-limit", type=int, default=20)
-    p_bench.add_argument("-o", "--output", required=True, help="results CSV path")
-
     return parser
 
 
@@ -164,7 +154,12 @@ def cmd_solve(args) -> int:
         result = solve(instance, config)
         allocation = result.binary
         wsu = result.wsu
-        report_extra = {"iterations_run": result.iterations_run, "converged": result.converged}
+        report_extra = {
+            "iterations_run": result.iterations_run,
+            "converged": result.converged,
+            "active_carriers": result.active_carriers,
+            "binary_distance": result.binary_distance,
+        }
         if args.trace is not None:
             write_trace_csv(result, args.trace)
     elif args.algorithm == "greedy":
@@ -245,38 +240,12 @@ def cmd_oracle_compare(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    m_grid = tuple(int(v) for v in args.m_grid.split(","))
-    gen = GenParams(
-        K=args.K,
-        M=m_grid[0],
-        N=args.N,
-        ue_cc_cap=args.Mk,
-        system_cc_cap_limit=args.M0_limit,
-        seed=args.seed,
-    )
-    config = SweepConfig(
-        algorithms=("sgpa", "heuristic"),
-        gen=gen,
-        trials=args.trials,
-        base_seed=args.seed,
-        m_grid=m_grid,
-        sgpa=SgpaConfig(max_iterations=20),
-    )
-    rows = run_sweep(config)
-    write_results_csv(rows, args.output)
-    write_metadata(config, rows, str(args.output) + ".meta.json")
-    print(f"wrote {args.output} ({len(rows)} rows)")
-    return EXIT_OK
-
-
 _HANDLERS = {
     "gen": cmd_gen,
     "solve": cmd_solve,
     "sweep": cmd_sweep,
     "fig1": cmd_fig1,
     "oracle-compare": cmd_oracle_compare,
-    "bench": cmd_bench,
 }
 
 

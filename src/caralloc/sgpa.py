@@ -9,6 +9,14 @@ a final quantization step rounds whatever has not converged yet.
 
 The normalization multiplier is found exactly by a breakpoint scan over the
 sorted rates (no root-finding); see :func:`capped_simplex_normalize`.
+
+A carrier whose activation reaches exactly 0 stays switched off, and every
+share under it is 0 from then on. Once at least half of the carriers in its
+working arrays are switched off, :func:`solve` cuts the arrays down to the
+live carriers, so later sweeps cost time in proportion to the live carriers
+only. The cut is exact: within a sweep, sums run over users or blocks, and
+the capped-simplex normalizations over carriers see only positive scores,
+so every live value is the same bits as when sweeping all carriers.
 """
 
 from __future__ import annotations
@@ -154,21 +162,24 @@ def capped_simplex_normalize(v, cap: int) -> NormalizationSolution:
     raise RuntimeError("no saturation level satisfied the breakpoint conditions")
 
 
-def _sweep_scores(instance: ProblemInstance, alpha, beta, gamma) -> tuple:
+def _sweep_scores(weights, utilities, alpha, beta, gamma) -> tuple:
     """The three score arrays of one sweep, each product formed once.
 
     With weighted utilities ``W = w_k * phi[k, m, n]`` and per-carrier rates
     ``r[k, m] = sum_n alpha[k, m, n] * W[k, m, n]``, the scores are
     ``alpha * beta * W`` for the blocks, ``beta * gamma * r`` for the carrier
     shares and ``gamma * sum_k beta * r`` for the activations. The carrier
-    activations cancel in the block update and do not appear there.
+    activations cancel in the block update and do not appear there. The
+    arrays may hold any subset of the carriers: every sum here runs over
+    users or blocks, never over carriers, so each carrier's scores do not
+    depend on which other carriers are present.
     """
-    weighted = instance.weighted_utilities
+    weighted = weights[:, None, None] * utilities
     per_cc = np.einsum("kmn,kmn->km", alpha, weighted)
     return (
         alpha * beta[:, :, None] * weighted,
         beta * (gamma[None, :] * per_cc),
-        gamma * np.einsum("km,km->m", beta, per_cc),
+        gamma * (beta * per_cc).sum(axis=0),
     )
 
 
@@ -219,11 +230,20 @@ class IterationRecord:
 
 @dataclass
 class SgpaResult:
+    """Outcome of :func:`solve`.
+
+    ``active_carriers`` counts the carriers whose relaxed activation is
+    positive at stop; ``binary_distance`` is the largest distance of any
+    relaxed share from {0, 1} at stop (0 when the iterate is binary).
+    """
+
     relaxed: RelaxedAllocation
     binary: BinaryAllocation
     wsu: float
     iterations_run: int
     converged: bool
+    active_carriers: int
+    binary_distance: float
     trace: Optional[List[IterationRecord]] = None
 
 
@@ -250,6 +270,19 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     ``snap_tolerance`` of 1 are snapped to 1 and values at or below
     ``zero_tolerance`` are zeroed; iteration stops early once the largest
     change across all variables falls below ``convergence_tolerance``.
+
+    Once at least half of the carriers in the working arrays have zero
+    activation, the arrays are cut down to the live carriers, and the
+    sweeps run on those alone. The cut is exact: a carrier at zero
+    activation stays there, and every share under it is 0 and stays 0, so
+    each later sweep would only recompute those zeros. Within a sweep,
+    sums run over users or blocks, and the normalizations over carriers
+    see only positive scores, so the live carriers' values are the same
+    bits as at full size. The caps are clipped to the live count; where
+    that changes a cap, at most cap scores are positive, so the
+    normalization takes the same branch as at full size (every positive
+    score saturates). The iterate is scattered back to full size at the
+    end, and for each trace record.
     """
     cfg = config if config is not None else SgpaConfig()
 
@@ -268,22 +301,31 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     alpha, beta, gamma = start.alpha, start.beta, start.gamma
 
     trace: Optional[List[IterationRecord]] = [] if cfg.record_trace else None
-    phi = instance.utilities
     w = instance.weights
+    num_ccs = instance.num_ccs
+    live = np.arange(num_ccs)  # the carriers in the working arrays
+    utilities = instance.utilities
+    caps, system_cap = instance.ue_cc_caps, instance.system_cc_cap
     iterations_run = 0
     converged = False
 
     for iteration in range(1, cfg.max_iterations + 1):
-        scores = _sweep_scores(instance, alpha, beta, gamma)
+        scores = _sweep_scores(w, utilities, alpha, beta, gamma)
         new_alpha = update_alpha(scores[0], alpha)
-        new_beta = update_beta(scores[1], beta, instance.ue_cc_caps)
-        new_gamma = update_gamma(scores[2], instance.system_cc_cap)
+        new_beta = update_beta(scores[1], beta, caps)
+        new_gamma = update_gamma(scores[2], system_cap)
 
         residual = 0.0
         zero_rate: tuple = ()
         if cfg.record_trace:
+            # The beta and gamma sums here run over carriers: take them at
+            # full size, so they add in the same order with or without a cut.
             residual, zero_rate = _sum_identity_residual(
-                instance, scores, new_alpha, new_beta, new_gamma
+                instance,
+                scores,
+                new_alpha,
+                _scatter(new_beta, live, num_ccs),
+                _scatter(new_gamma, live, num_ccs),
             )
         del scores  # free the K*M*N block scores before _snap copies the shares
 
@@ -309,7 +351,14 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
         iterations_run = iteration
 
         if cfg.record_trace:
-            relaxed_wsu = float(np.einsum("k,m,km,kmn,kmn->", w, gamma, beta, alpha, phi))
+            relaxed_wsu = float(
+                np.einsum(
+                    "k,m,km,kmn,kmn->",
+                    w,
+                    *(_scatter(arr, live, num_ccs) for arr in (gamma, beta, alpha)),
+                    instance.utilities,
+                )
+            )
             trace.append(
                 IterationRecord(
                     iteration=iteration,
@@ -324,7 +373,29 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
             converged = True
             break
 
-    final = RelaxedAllocation(alpha, beta, gamma, floor=cfg.zero_tolerance)
+        # Cut to the live carriers once at least half are switched off.
+        # compress, not boolean indexing: a masked array comes back out of
+        # C order, and numpy's sums over users then add in another order,
+        # which changes last bits.
+        if 2 * np.count_nonzero(dead) >= dead.size:
+            keep = ~dead
+            live = live[keep]
+            utilities = utilities.compress(keep, axis=1)
+            alpha = alpha.compress(keep, axis=1)
+            beta = beta.compress(keep, axis=1)
+            gamma = gamma.compress(keep)
+            previous = alpha, beta, gamma
+            caps = np.minimum(caps, live.size)
+            system_cap = min(system_cap, live.size)
+
+    # Both facts read the same on the live carriers as at full size: a cut
+    # carrier's activation and shares are all exactly 0.
+    active_carriers = int(np.count_nonzero(gamma))
+    binary_distance = max(float(np.minimum(arr, 1.0 - arr).max()) for arr in (alpha, beta, gamma))
+    final = RelaxedAllocation(
+        *(_scatter(arr, live, num_ccs) for arr in (alpha, beta, gamma)),
+        floor=cfg.zero_tolerance,
+    )
     binary = quantize(instance, final)
     return SgpaResult(
         relaxed=final,
@@ -332,8 +403,24 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
         wsu=evaluate_wsu(instance, binary),
         iterations_run=iterations_run,
         converged=converged,
+        active_carriers=active_carriers,
+        binary_distance=binary_distance,
         trace=trace,
     )
+
+
+def _scatter(arr: np.ndarray, live: np.ndarray, num_ccs: int) -> np.ndarray:
+    """``arr``, whose carrier axis holds the ``live`` carriers, at full
+    size with zeros at every other carrier. The carrier axis is axis 0 of
+    the activations and axis 1 of the shares."""
+    if live.size == num_ccs:
+        return arr
+    axis = 0 if arr.ndim == 1 else 1
+    shape = list(arr.shape)
+    shape[axis] = num_ccs
+    out = np.zeros(shape)
+    out[(slice(None),) * axis + (live,)] = arr
+    return out
 
 
 def _sum_identity_residual(instance, scores, new_alpha, new_beta, new_gamma):

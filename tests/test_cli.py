@@ -7,6 +7,7 @@ import numpy as np
 
 from caralloc.cli import main
 from caralloc.core import BinaryAllocation, ProblemInstance
+from caralloc.sgpa import SgpaConfig, solve
 from caralloc.simharness import GenParams, SweepConfig, fig1_experiment, run_sweep
 
 
@@ -62,6 +63,21 @@ class TestSolve:
         assert doc["feasible"] is True
         assert doc["wsu"] > 0
         assert doc["iterations_run"] <= 20
+
+    def test_sgpa_reports_run_facts(self, tmp_path, capsys):
+        path = write_instance(tmp_path, capsys)
+        instance = ProblemInstance.from_json(path.read_text())
+        for sweeps in ("1", "200"):
+            code, out, _ = run(
+                capsys, "solve", "--instance", str(path), "--max-iterations", sweeps
+            )
+            assert code == 0
+            doc = json.loads(out)
+            result = solve(instance, SgpaConfig(max_iterations=int(sweeps)))
+            assert doc["active_carriers"] == result.active_carriers
+            assert doc["binary_distance"] == result.binary_distance
+            assert 1 <= doc["active_carriers"] <= instance.num_ccs
+            assert 0.0 <= doc["binary_distance"] <= 0.5
 
     def test_all_algorithms_run(self, tmp_path, capsys):
         path = write_instance(tmp_path, capsys)
@@ -194,18 +210,3 @@ class TestOracleCompare:
         )
         for row in run_sweep(config):
             assert doc[f"mean_wsu_{row.algorithm}"] == row.mean_wsu
-
-
-class TestBench:
-    def test_bench_csv(self, tmp_path, capsys):
-        out_path = tmp_path / "bench.csv"
-        code, _, _ = run(
-            capsys, "bench", "--m-grid", "3,4", "--trials", "2", "--K", "2",
-            "--N", "2", "--Mk", "1", "--M0-limit", "2", "--seed", "5",
-            "-o", str(out_path),
-        )
-        assert code == 0
-        lines = out_path.read_text().strip().splitlines()
-        assert len(lines) == 5  # header + 2 algorithms x 2 grid points
-        for line in lines[1:]:
-            assert float(line.split(",")[-1]) >= 0.0  # timing column parses

@@ -9,7 +9,10 @@ relaxed iterate, its iteration count, its convergence flag and every trace
 record. The heuristic's carrier-selection LP is pinned by the float64 bytes
 of its solution ``x`` and ``repr`` of its objective value. One more case
 starts the solver from a custom iterate with entries below a raised
-``zero_tolerance``. Refactors must leave every digest unchanged.
+``zero_tolerance``. The cut cases run only the solver, on shapes where most
+carriers switch off during the run, so the solver's live-carrier cut is
+pinned too (the LP and the oracle would be too slow at M=160). Refactors
+must leave every digest unchanged.
 
 Regenerate (only for an intended change of behaviour) with::
 
@@ -59,6 +62,25 @@ CASES = [
     for K, M, N, Mk, M0 in SHAPES
     for mode in WEIGHT_MODES
     for t in range(TRIALS)
+]
+
+
+#: Solver-only cases: (shape, trials). At 200 sweeps most carriers end
+#: switched off, and several (12, 6, 4, 3, 1) runs end with one live carrier,
+#: below that shape's user cap of 3. With K >= 8 users, numpy sums over users
+#: in another order when an array is not C-ordered: trial 3 of the
+#: (8, 160, 4, 5, 2) shape changes in its last bits if the solver's cut
+#: arrays are not.
+CUT_SHAPES = (
+    ((10, 160, 20, 2, 8), 3),
+    ((12, 6, 4, 3, 1), 6),
+    ((8, 160, 4, 5, 2), 4),
+)
+CUT_CASES = [
+    (K, M, N, Mk, M0, mode, t)
+    for (K, M, N, Mk, M0), trials in CUT_SHAPES
+    for mode in WEIGHT_MODES
+    for t in range(trials)
 ]
 
 
@@ -158,15 +180,23 @@ def case_digests(instance):
     return out
 
 
+def cut_case_digests(instance):
+    result = solve(instance)
+    return {"sgpa": digest(result.binary, result.wsu), **iterate_digests(instance)}
+
+
 def all_digests():
     out = {case_id(case): case_digests(case_instance(case)) for case in CASES}
+    out.update((case_id(case), cut_case_digests(case_instance(case))) for case in CUT_CASES)
     out[CUSTOM_START_ID] = custom_start_digests()
     return out
 
 
 def test_digest_file_covers_every_case():
     golden = json.loads(DIGEST_FILE.read_text())
-    assert sorted(golden) == sorted([case_id(case) for case in CASES] + [CUSTOM_START_ID])
+    assert sorted(golden) == sorted(
+        [case_id(case) for case in CASES + CUT_CASES] + [CUSTOM_START_ID]
+    )
     assert sum("oracle" in entry for entry in golden.values()) >= len(CASES) // 2
     assert all(f"sgpa_iterate_{sweeps}" in entry for entry in golden.values() for sweeps in ITERATE_SWEEPS)
 
@@ -175,6 +205,22 @@ def test_digest_file_covers_every_case():
 def test_outputs_match_golden(case):
     golden = json.loads(DIGEST_FILE.read_text())[case_id(case)]
     assert case_digests(case_instance(case)) == golden
+
+
+@pytest.mark.parametrize("case", CUT_CASES, ids=case_id)
+def test_cut_outputs_match_golden(case):
+    golden = json.loads(DIGEST_FILE.read_text())[case_id(case)]
+    assert cut_case_digests(case_instance(case)) == golden
+
+
+def test_cut_cases_end_with_one_live_carrier():
+    """Some cut case ends with a single live carrier under a user cap above
+    1, so the solver's caps clipped to the live count are pinned too."""
+    config = SgpaConfig(max_iterations=max(ITERATE_SWEEPS))
+    assert any(
+        solve(case_instance(case), config).active_carriers == 1 and case[3] > 1
+        for case in CUT_CASES
+    )
 
 
 def test_custom_start_matches_golden():

@@ -19,6 +19,8 @@ from caralloc.sgpa import (
 )
 from caralloc.simharness import GenParams, sample_instance
 
+from test_acceptance import binary_distance
+
 
 def make_instance(weights, phi, caps, m0):
     phi = np.asarray(phi, dtype=float)
@@ -71,7 +73,9 @@ class TestSweepScores:
         alpha = np.array([[[0.5], [0.25]], [[0.5], [0.75]]])
         beta = np.array([[0.5, 1.0], [1.0, 0.5]])
         gamma = np.array([0.5, 0.25])
-        blocks, carriers, activations = _sweep_scores(instance, alpha, beta, gamma)
+        blocks, carriers, activations = _sweep_scores(
+            instance.weights, instance.utilities, alpha, beta, gamma
+        )
         # alpha * beta * W
         np.testing.assert_array_equal(blocks[:, :, 0], [[0.5, 2.0], [3.0, 1.125]])
         # beta * gamma * r
@@ -81,10 +85,35 @@ class TestSweepScores:
 
         # The activations cancel out of the block update: only the carrier
         # and activation scores move with gamma.
-        blocks2, carriers2, activations2 = _sweep_scores(instance, alpha, beta, 2.0 * gamma)
+        blocks2, carriers2, activations2 = _sweep_scores(
+            instance.weights, instance.utilities, alpha, beta, 2.0 * gamma
+        )
         np.testing.assert_array_equal(blocks2, blocks)
         np.testing.assert_array_equal(carriers2, 2.0 * carriers)
         np.testing.assert_array_equal(activations2, 2.0 * activations)
+
+    def test_carrier_subset_gives_the_same_columns(self):
+        # No sum in a sweep runs over carriers, so scoring a subset of the
+        # carriers gives the full-size scores' columns bit for bit.
+        rng = np.random.default_rng(5)
+        K, M, N = 10, 40, 20
+        weights = rng.uniform(0.5, 2.0, K)
+        utilities = rng.uniform(0.0, 3.0, (K, M, N))
+        alpha = rng.uniform(0.0, 1.0, (K, M, N))
+        beta = rng.uniform(0.0, 1.0, (K, M))
+        gamma = rng.uniform(0.0, 1.0, M)
+        keep = rng.uniform(size=M) < 0.3
+        full = _sweep_scores(weights, utilities, alpha, beta, gamma)
+        cut = _sweep_scores(
+            weights,
+            utilities.compress(keep, axis=1),
+            alpha.compress(keep, axis=1),
+            beta.compress(keep, axis=1),
+            gamma.compress(keep),
+        )
+        np.testing.assert_array_equal(cut[0], full[0][:, keep])
+        np.testing.assert_array_equal(cut[1], full[1][:, keep])
+        np.testing.assert_array_equal(cut[2], full[2][keep])
 
 
 class TestUpdateAlpha:
@@ -321,6 +350,19 @@ class TestSolve:
         assert dead.any()
         assert np.all(result.relaxed.beta[:, dead] == 0.0)
         assert np.all(result.relaxed.alpha[:, dead, :] == 0.0)
+
+    @pytest.mark.parametrize(
+        "K, M, N, Mk, M0, sweeps",
+        [(4, 6, 4, 2, 2, 20), (12, 6, 4, 3, 1, 200), (10, 160, 20, 2, 8, 60), (3, 5, 3, 5, 5, 1)],
+    )
+    def test_run_facts_at_stop(self, K, M, N, Mk, M0, sweeps):
+        for seed in range(3):
+            inst = sample_instance(
+                GenParams(K=K, M=M, N=N, ue_cc_cap=Mk, system_cc_cap_limit=M0, seed=seed)
+            )
+            result = solve(inst, SgpaConfig(max_iterations=sweeps))
+            assert result.active_carriers == np.count_nonzero(result.relaxed.gamma > 0.0)
+            assert result.binary_distance == binary_distance(result.relaxed)
 
 
 class TestTrace:
