@@ -38,9 +38,11 @@ from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
 from .baselines import (
     BudgetExceededError,
     GreedyResult,
+    HeuristicResult,
     OracleBudget,
     brute_force_oracle,
     greedy_unconstrained,
+    heuristic_run,
     heuristic_solve,
     oracle_enumeration_count,
 )

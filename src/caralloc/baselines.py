@@ -22,13 +22,15 @@ from .core import (
     evaluate_wsu,
     round_allocation,
 )
-from .lp import LinearProgram, LpStatus, solve_lp
+from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
 
 __all__ = [
     "OracleBudget",
     "BudgetExceededError",
     "GreedyResult",
     "greedy_unconstrained",
+    "HeuristicResult",
+    "heuristic_run",
     "heuristic_solve",
     "brute_force_oracle",
     "oracle_enumeration_count",
@@ -86,54 +88,35 @@ def greedy_unconstrained(instance: ProblemInstance) -> GreedyResult:
 
 
 def _carrier_selection_lp(instance: ProblemInstance) -> LinearProgram:
-    """Exact linearization of maximizing sum of gains[k, m] * beta[k, m] * gamma[m].
+    """LP relaxation of maximizing sum of gains[k, m] * beta[k, m] * gamma[m].
 
     The gains are each user's weighted utility summed over a carrier's
     blocks, divided by their max: the simplex tolerances are absolute, so the
     LP sees gains on a fixed scale, and scaling every utility leaves the
-    allocation unchanged. Variables are ordered [t (K*M), beta (K*M), gamma
-    (M)], all in [0, 1], with t <= beta, t <= gamma, per-user sum beta <=
-    cap, sum gamma <= system cap. At an optimum t = min(beta, gamma) because
-    the gains are nonnegative, so the t-objective equals the intended
-    product objective.
+    allocation unchanged. Variables are ordered [beta (K*M), gamma (M)], all
+    in [0, 1], with beta <= gamma, per-user sum beta <= cap, sum gamma <=
+    system cap, and the objective is gains @ beta. The bilinear objective's
+    linearization min(beta, gamma) equals beta on this feasible set, so this
+    LP has the optimum value of the one with a separate product variable
+    t <= beta, t <= gamma (take t = beta).
     """
     gains = instance.weights[:, None] * instance.utilities.sum(axis=2)
     top = gains.max()
     if top > 0:
         gains = gains / top
-    caps, system_cap = instance.ue_cc_caps, instance.system_cc_cap
     K, M = gains.shape
     km = K * M
-    n = 2 * km + M
-    num_rows = 2 * km + K + 1
-    A = np.zeros((num_rows, n))
-    b = np.zeros(num_rows)
+    n = km + M
+    A = np.zeros((km + K + 1, n))
+    b = np.zeros(km + K + 1)
 
-    def t_idx(k, m):
-        return k * M + m
-
-    def beta_idx(k, m):
-        return km + k * M + m
-
-    gamma_off = 2 * km
-
-    row = 0
-    for k in range(K):
-        for m in range(M):
-            A[row, t_idx(k, m)] = 1.0
-            A[row, beta_idx(k, m)] = -1.0
-            row += 1
-    for k in range(K):
-        for m in range(M):
-            A[row, t_idx(k, m)] = 1.0
-            A[row, gamma_off + m] = -1.0
-            row += 1
-    for k in range(K):
-        A[row, km + k * M : km + (k + 1) * M] = 1.0
-        b[row] = float(caps[k])
-        row += 1
-    A[row, gamma_off:] = 1.0
-    b[row] = float(system_cap)
+    pair = np.arange(km)  # beta index k * M + m, also its beta <= gamma row
+    A[pair, pair] = 1.0
+    A[pair, km + pair % M] = -1.0
+    A[km + pair // M, pair] = 1.0
+    b[km : km + K] = instance.ue_cc_caps
+    A[-1, km:] = 1.0
+    b[-1] = instance.system_cc_cap
 
     c = np.zeros(n)
     c[:km] = gains.ravel()
@@ -141,14 +124,23 @@ def _carrier_selection_lp(instance: ProblemInstance) -> LinearProgram:
     return LinearProgram(c, A, b, bounds)
 
 
-def heuristic_solve(instance: ProblemInstance) -> BinaryAllocation:
+@dataclass(frozen=True)
+class HeuristicResult:
+    """Heuristic output plus the solved carrier-selection LP, whose
+    ``pivots`` and ``bound_flips`` count the simplex's work."""
+
+    allocation: BinaryAllocation
+    lp: LpSolution
+
+
+def heuristic_run(instance: ProblemInstance) -> HeuristicResult:
     """Two-stage baseline: LP carrier selection, round, then per-block winners.
 
     Stage one pretends every user holds every block (alpha = 1), reducing the
     problem to picking carrier admissions and activations; that bilinear
-    objective is linearized exactly with auxiliary variables and solved as an
-    LP. Stage two is :func:`~caralloc.core.round_allocation`, the rounding
-    the iterative solver ends with, scoring blocks by weighted utility.
+    objective is relaxed to an LP with the same optimum value. Stage two is
+    :func:`~caralloc.core.round_allocation`, the rounding the iterative
+    solver ends with, scoring blocks by weighted utility.
     """
     K, M = instance.num_ues, instance.num_ccs
     sol = solve_lp(_carrier_selection_lp(instance))
@@ -156,12 +148,15 @@ def heuristic_solve(instance: ProblemInstance) -> BinaryAllocation:
         raise RuntimeError(f"carrier-selection LP came back {sol.status.value}")
 
     km = K * M
-    return round_allocation(
-        instance,
-        instance.weighted_utilities,
-        sol.x[km : 2 * km].reshape(K, M),
-        sol.x[2 * km :],
+    allocation = round_allocation(
+        instance, instance.weighted_utilities, sol.x[:km].reshape(K, M), sol.x[km:]
     )
+    return HeuristicResult(allocation, sol)
+
+
+def heuristic_solve(instance: ProblemInstance) -> BinaryAllocation:
+    """The allocation of :func:`heuristic_run`."""
+    return heuristic_run(instance).allocation
 
 
 def oracle_enumeration_count(num_ccs: int, caps, system_cap: int) -> int:

@@ -22,7 +22,7 @@ from .baselines import (
     OracleBudget,
     brute_force_oracle,
     greedy_unconstrained,
-    heuristic_solve,
+    heuristic_run,
 )
 from .core import ProblemInstance, check_feasibility, evaluate_wsu
 from .sgpa import SgpaConfig, solve, write_trace_csv
@@ -168,8 +168,13 @@ def cmd_solve(args) -> int:
         wsu = evaluate_wsu(instance, allocation)
         report_extra = {"within_caps": greedy.within_caps}
     elif args.algorithm == "heuristic":
-        allocation = heuristic_solve(instance)
+        heuristic = heuristic_run(instance)
+        allocation = heuristic.allocation
         wsu = evaluate_wsu(instance, allocation)
+        report_extra = {
+            "lp_pivots": heuristic.lp.pivots,
+            "lp_bound_flips": heuristic.lp.bound_flips,
+        }
     else:
         allocation, wsu = brute_force_oracle(instance, OracleBudget(args.budget))
 

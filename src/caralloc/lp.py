@@ -1,9 +1,14 @@
 """Small dense linear-programming solver.
 
 Bounded-variable primal simplex on a full tableau, two phases (artificial
-variables only on rows the all-lower-bounds point violates). Entering and
-leaving choices both use Bland's smallest-index rule, which cannot cycle, so
-every run terminates; all choices are index-based, so repeated runs on the
+variables only on rows the all-lower-bounds point violates). The entering
+column is Dantzig's: the largest reduced cost in the improving direction,
+lowest index on ties. Dantzig pricing can cycle on a degenerate vertex, so
+after ``_DEGENERATE_LIMIT`` degenerate pivots in a row the entering column is
+Bland's smallest improving index instead, until a step moves the objective.
+The leaving row is always Bland's (smallest basic index among the blocking
+rows); with both Bland choices the simplex cannot cycle, so every run
+terminates. All choices are value- and index-based, so repeated runs on the
 same input pivot identically.
 
 Intended for the small problems produced in this package (a few thousand
@@ -28,6 +33,7 @@ PIVOT_TOL = 1e-9
 
 _MAX_PIVOTS_BASE = 20_000
 _RC_REFRESH_PERIOD = 256  # recompute reduced costs from scratch now and then
+_DEGENERATE_LIMIT = 50  # degenerate pivots in a row before Bland's rule enters
 
 
 class LpStatus(Enum):
@@ -150,13 +156,18 @@ class _Tableau:
         eligible = enterable.copy()  # enterable and nonbasic
         eligible[self.basis] = False
         max_pivots = _MAX_PIVOTS_BASE + 50 * (self.total + self.m)
+        degenerate = 0  # degenerate pivots since the last step that made progress
 
         for step in range(max_pivots):
             if step and step % _RC_REFRESH_PERIOD == 0:
                 rc = self.reduced_costs(c_all)
 
-            improving = eligible & np.where(self.at_upper, rc < -PIVOT_TOL, rc > PIVOT_TOL)
-            enter = int(improving.argmax())
+            gain = np.where(self.at_upper, -rc, rc)
+            improving = eligible & (gain > PIVOT_TOL)
+            if degenerate < _DEGENERATE_LIMIT:
+                enter = int(np.where(improving, gain, 0.0).argmax())
+            else:
+                enter = int(improving.argmax())
             if not improving[enter]:
                 return LpStatus.OPTIMAL
             sigma = -1.0 if self.at_upper[enter] else 1.0
@@ -187,7 +198,10 @@ class _Tableau:
                 self.at_upper[enter] = not self.at_upper[enter]
                 self.x_basic -= move * span
                 self.bound_flips += 1
+                if span > 0:
+                    degenerate = 0
                 continue
+            degenerate = degenerate + 1 if delta == 0 else 0
 
             blocking = rows[room <= min_room + 1e-12]
             leave_row = int(blocking[np.argmin(self.basis[blocking])])

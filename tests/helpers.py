@@ -1,13 +1,17 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the implementation paths they check: the capped
-simplex multiplier is found by bisection on the saturation count, and small
-LPs are solved by enumerating candidate vertices.
+simplex multiplier is found by bisection on the saturation count, small
+LPs are solved by enumerating candidate vertices, and the heuristic's
+carrier-selection LP has a reference formulation with explicit product
+variables.
 """
 
 import itertools
 
 import numpy as np
+
+from caralloc.lp import LinearProgram
 
 
 def bisect_capped_simplex_kappa(v, cap, iterations=200):
@@ -67,3 +71,50 @@ def enumerate_lp_optimum(objective, A, b, lower, upper):
             best = (value, x)
     assert best is not None, "polytope unexpectedly empty"
     return best
+
+
+def three_block_carrier_selection_lp(instance):
+    """The carrier-selection LP with a product variable per (user, carrier).
+
+    Variables are ordered [t (K*M), beta (K*M), gamma (M)], all in [0, 1],
+    with t <= beta, t <= gamma, per-user sum beta <= cap, sum gamma <=
+    system cap; the objective is gains @ t, with the gains scaled as
+    ``caralloc.baselines._carrier_selection_lp`` scales them. At an optimum
+    t = min(beta, gamma) because the gains are nonnegative, so the
+    t-objective equals the bilinear objective gains @ (beta * gamma).
+    """
+    gains = instance.weights[:, None] * instance.utilities.sum(axis=2)
+    top = gains.max()
+    if top > 0:
+        gains = gains / top
+    caps, system_cap = instance.ue_cc_caps, instance.system_cc_cap
+    K, M = gains.shape
+    km = K * M
+    n = 2 * km + M
+    num_rows = 2 * km + K + 1
+    A = np.zeros((num_rows, n))
+    b = np.zeros(num_rows)
+    gamma_off = 2 * km
+
+    row = 0
+    for k in range(K):
+        for m in range(M):
+            A[row, k * M + m] = 1.0
+            A[row, km + k * M + m] = -1.0
+            row += 1
+    for k in range(K):
+        for m in range(M):
+            A[row, k * M + m] = 1.0
+            A[row, gamma_off + m] = -1.0
+            row += 1
+    for k in range(K):
+        A[row, km + k * M : km + (k + 1) * M] = 1.0
+        b[row] = float(caps[k])
+        row += 1
+    A[row, gamma_off:] = 1.0
+    b[row] = float(system_cap)
+
+    c = np.zeros(n)
+    c[:km] = gains.ravel()
+    bounds = np.column_stack([np.zeros(n), np.ones(n)])
+    return LinearProgram(c, A, b, bounds)

@@ -5,8 +5,11 @@ import json
 
 import numpy as np
 
+from caralloc import baselines
+from caralloc.baselines import _carrier_selection_lp
 from caralloc.cli import main
 from caralloc.core import BinaryAllocation, ProblemInstance
+from caralloc.lp import solve_lp
 from caralloc.sgpa import SgpaConfig, solve
 from caralloc.simharness import GenParams, SweepConfig, fig1_experiment, run_sweep
 
@@ -78,6 +81,24 @@ class TestSolve:
             assert doc["binary_distance"] == result.binary_distance
             assert 1 <= doc["active_carriers"] <= instance.num_ccs
             assert 0.0 <= doc["binary_distance"] <= 0.5
+
+    def test_heuristic_reports_lp_facts(self, tmp_path, capsys, monkeypatch):
+        path = write_instance(tmp_path, capsys)
+        instance = ProblemInstance.from_json(path.read_text())
+        expected = solve_lp(_carrier_selection_lp(instance))
+        solved = []
+
+        def counted_solve_lp(lp):
+            solved.append(lp)
+            return solve_lp(lp)
+
+        monkeypatch.setattr(baselines, "solve_lp", counted_solve_lp)
+        code, out, _ = run(capsys, "solve", "--instance", str(path), "--algorithm", "heuristic")
+        assert code == 0
+        doc = json.loads(out)
+        assert len(solved) == 1
+        assert doc["lp_pivots"] == expected.pivots > 0
+        assert doc["lp_bound_flips"] == expected.bound_flips
 
     def test_all_algorithms_run(self, tmp_path, capsys):
         path = write_instance(tmp_path, capsys)

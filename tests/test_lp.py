@@ -9,7 +9,7 @@ from caralloc.baselines import _carrier_selection_lp
 from caralloc.lp import LinearProgram, LpSolution, LpStatus, solve_lp
 from caralloc.simharness import GenParams, sample_instance
 
-from helpers import enumerate_lp_optimum
+from helpers import enumerate_lp_optimum, three_block_carrier_selection_lp
 
 
 def phase_one_lps():
@@ -25,8 +25,8 @@ def phase_one_lps():
         yield c, A, b, np.zeros(n), np.ones(n)
 
 
-def carrier_selection_lps():
-    """40 heuristic LPs from sampled instances of assorted shapes and caps."""
+def carrier_selection_instances():
+    """40 sampled instances of assorted shapes and caps."""
     rng = np.random.default_rng(13)
     for trial in range(40):
         M = int(rng.integers(2, 11))
@@ -37,7 +37,13 @@ def carrier_selection_lps():
             weight_mode=("equal", "uniform_simplex")[trial % 2],
             seed=13, stream_key=(trial,),
         )
-        yield _carrier_selection_lp(sample_instance(params))
+        yield sample_instance(params)
+
+
+def carrier_selection_lps():
+    """The heuristic's LPs of the 40 instances above."""
+    for instance in carrier_selection_instances():
+        yield _carrier_selection_lp(instance)
 
 
 def highs_optimum(lp):
@@ -183,6 +189,30 @@ class TestAgainstVertexEnumeration:
                 assert c @ x <= sol.objective_value + 1e-9
 
 
+class TestCycling:
+    def test_beale_example_terminates(self):
+        """Beale's LP (Chvatal 1983, ch. 3), on which largest-coefficient
+        pricing cycles through degenerate pivots at the origin; the switch
+        to Bland's rule after a run of them must still reach the optimum."""
+        c = [0.75, -20.0, 0.5, -6.0]
+        A = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
+        sol = solve_lp(box_lp(c, A, np.array([0.0, 0.0, 1.0]), upper=1000.0))
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective_value == pytest.approx(1.25, abs=1e-9)
+        np.testing.assert_allclose(sol.x, [1.0, 0.0, 1.0, 0.0], atol=1e-9)
+
+
+class TestCarrierSelectionFormulation:
+    def test_optimum_matches_three_block_formulation(self):
+        """Dropping the product variables keeps the optimum value: the
+        package's LP solves to HiGHS's optimum of the [t, beta, gamma] one."""
+        for instance in carrier_selection_instances():
+            sol = solve_lp(_carrier_selection_lp(instance))
+            reference = highs_optimum(three_block_carrier_selection_lp(instance))
+            assert sol.status is LpStatus.OPTIMAL
+            assert sol.objective_value == pytest.approx(reference, abs=1e-7)
+
+
 class TestAgainstHighs:
     """Objective values agree with an independent solver (scipy's HiGHS)."""
 
@@ -212,6 +242,14 @@ class TestCounts:
         # max 3x + 2y, x + y <= 1: x flips to its upper bound without a basis
         # change, then y enters at 0 in place of the tight slack.
         sol = solve_lp(box_lp([3.0, 2.0], [[1.0, 1.0]], [1.0]))
+        assert (sol.pivots, sol.bound_flips) == (1, 1)
+
+    def test_largest_gain_enters_first(self):
+        # max x + 3y, x + y <= 1: y enters first and flips to its upper
+        # bound, then x enters at 0 in place of the tight slack. Entering on
+        # the lowest index would take x first and need more steps.
+        sol = solve_lp(box_lp([1.0, 3.0], [[1.0, 1.0]], [1.0]))
+        np.testing.assert_allclose(sol.x, [0.0, 1.0], atol=1e-12)
         assert (sol.pivots, sol.bound_flips) == (1, 1)
 
     def test_repeat_runs_report_equal_counts(self):
