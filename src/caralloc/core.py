@@ -45,6 +45,17 @@ class DimensionMismatchError(ValueError):
     """An allocation does not match the instance dimensions."""
 
 
+def check_document(doc, fields, what: str) -> dict:
+    """A copy of the parsed JSON ``doc``, after checking that it is an object
+    whose keys all lie in ``fields``; ValueError naming the culprits if not."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    unknown = set(doc) - set(fields)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    return dict(doc)
+
+
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -106,18 +117,6 @@ class ProblemInstance:
         object.__setattr__(self, "system_cc_cap", m0)
 
     @property
-    def K(self) -> int:
-        return self.num_ues
-
-    @property
-    def M(self) -> int:
-        return self.num_ccs
-
-    @property
-    def N(self) -> int:
-        return self.num_rbs_per_cc
-
-    @property
     def weighted_utilities(self) -> np.ndarray:
         """``weights[k] * utilities[k, m, n]``, formed anew on every access
         (not cached, so no extra K*M*N array outlives its use)."""
@@ -137,6 +136,7 @@ class ProblemInstance:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ProblemInstance":
+        doc = check_document(doc, ("K", "M", "N", "weights", "Mk", "M0", "phi"), "instance")
         try:
             return cls(
                 num_ues=int(doc["K"]),
@@ -198,9 +198,6 @@ class RelaxedAllocation:
 
     def dims(self) -> tuple:
         return self.alpha.shape
-
-    def copy(self) -> "RelaxedAllocation":
-        return RelaxedAllocation(self.alpha, self.beta, self.gamma, self.floor)
 
 
 @dataclass

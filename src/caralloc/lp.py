@@ -1,15 +1,16 @@
 """Small dense linear-programming solver.
 
-Bounded-variable primal simplex on a full tableau, two phases (artificial
-variables only on rows the all-lower-bounds point violates). The entering
-column is Dantzig's: the largest reduced cost in the improving direction,
-lowest index on ties. Dantzig pricing can cycle on a degenerate vertex, so
-after ``_DEGENERATE_LIMIT`` degenerate pivots in a row the entering column is
-Bland's smallest improving index instead, until a step moves the objective.
-The leaving row is always Bland's (smallest basic index among the blocking
-rows); with both Bland choices the simplex cannot cycle, so every run
-terminates. All choices are value- and index-based, so repeated runs on the
-same input pivot identically.
+Bounded-variable primal simplex on a full tableau, in one phase: it starts
+with every variable at its lower bound and every slack basic, a feasible
+basis because ``LinearProgram`` admits only problems whose all-lower-bounds
+point satisfies every row. The entering column is Dantzig's: the largest
+reduced cost in the improving direction, lowest index on ties. Dantzig
+pricing can cycle on a degenerate vertex, so after ``_DEGENERATE_LIMIT``
+degenerate pivots in a row the entering column is Bland's smallest improving
+index instead, until a step moves the objective. The leaving row is always
+Bland's (smallest basic index among the blocking rows); with both Bland
+choices the simplex cannot cycle, so every run terminates. All choices are
+value- and index-based, so repeated runs on the same input pivot identically.
 
 Intended for the small problems produced in this package (a few thousand
 variables at most). The tableau is stored dense, but a pivot rewrites only
@@ -28,7 +29,6 @@ import numpy as np
 
 __all__ = ["LpStatus", "LinearProgram", "LpSolution", "solve_lp"]
 
-FEASIBILITY_TOL = 1e-7
 PIVOT_TOL = 1e-9
 
 _MAX_PIVOTS_BASE = 20_000
@@ -38,14 +38,14 @@ _DEGENERATE_LIMIT = 50  # degenerate pivots in a row before Bland's rule enters
 
 class LpStatus(Enum):
     OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
 
 
 @dataclass
 class LinearProgram:
     """maximize objective @ x subject to constraint_matrix @ x <= constraint_rhs
-    and finite box bounds on every variable."""
+    and finite box bounds on every variable, where x = lower bounds must
+    satisfy every row (the simplex starts there)."""
 
     objective: np.ndarray
     constraint_matrix: np.ndarray
@@ -72,15 +72,18 @@ class LinearProgram:
             raise ValueError("all variable bounds must be finite")
         if np.any(bounds[:, 0] > bounds[:, 1]):
             raise ValueError("lower bounds must not exceed upper bounds")
+        violated = np.flatnonzero(b - A @ bounds[:, 0] < -1e-11)
+        if violated.size:
+            raise ValueError(f"the all-lower-bounds point violates rows {violated.tolist()}")
         self.objective, self.constraint_matrix, self.constraint_rhs = c, A, b
         self.variable_bounds = bounds
 
 
 @dataclass
 class LpSolution:
-    """Solver output; ``pivots`` counts basis changes over both phases,
-    ``bound_flips`` the steps where the entering variable crossed its box
-    without changing the basis."""
+    """Solver output; ``pivots`` counts basis changes, ``bound_flips`` the
+    steps where the entering variable crossed its box without changing the
+    basis."""
 
     status: LpStatus
     x: np.ndarray
@@ -90,7 +93,7 @@ class LpSolution:
 
 
 class _Tableau:
-    """Simplex working state over structural + slack (+ artificial) columns."""
+    """Simplex working state over structural + slack columns."""
 
     def __init__(self, lp: LinearProgram):
         self.n = lp.objective.size
@@ -101,36 +104,8 @@ class _Tableau:
         self.basis = np.arange(self.n, self.n + self.m)
         self.at_upper = np.zeros(self.n + self.m, dtype=bool)
         self.x_basic = lp.constraint_rhs - lp.constraint_matrix @ self.lower[: self.n]
-        self.num_artificial = 0
         self.pivots = 0
         self.bound_flips = 0
-
-    @property
-    def total(self) -> int:
-        return self.T.shape[1]
-
-    def add_artificials(self, rows: np.ndarray) -> np.ndarray:
-        """Give each violated row a basic artificial; slack goes nonbasic at 0.
-
-        The violated rows are negated so the new basis columns form the
-        identity (the artificial enters with coefficient +1 after negation)
-        and the artificial's starting value is positive.
-        """
-        count = rows.size
-        cols = np.zeros((self.m, count))
-        for j, r in enumerate(rows):
-            cols[r, j] = -1.0
-        self.T = np.hstack([self.T, cols])
-        self.T[rows] *= -1.0
-        self.lower = np.concatenate([self.lower, np.zeros(count)])
-        self.upper = np.concatenate([self.upper, np.full(count, np.inf)])
-        self.at_upper = np.concatenate([self.at_upper, np.zeros(count, dtype=bool)])
-        art = np.arange(self.n + self.m, self.n + self.m + count)
-        self.num_artificial = count
-        for j, r in enumerate(rows):
-            self.basis[r] = art[j]
-            self.x_basic[r] = -self.x_basic[r]
-        return art
 
     def solution(self, status: LpStatus, x: np.ndarray, value: float) -> LpSolution:
         return LpSolution(status, x, value, self.pivots, self.bound_flips)
@@ -150,12 +125,12 @@ class _Tableau:
         T[touched] -= np.outer(T[touched, col], T[row])
         self.pivots += 1
 
-    def run(self, c_all: np.ndarray, enterable: np.ndarray) -> LpStatus:
+    def run(self, c_all: np.ndarray) -> LpStatus:
         """Iterate to optimality for the given objective."""
         rc = self.reduced_costs(c_all)
-        eligible = enterable.copy()  # enterable and nonbasic
+        eligible = np.ones(self.T.shape[1], dtype=bool)  # nonbasic
         eligible[self.basis] = False
-        max_pivots = _MAX_PIVOTS_BASE + 50 * (self.total + self.m)
+        max_pivots = _MAX_PIVOTS_BASE + 50 * (self.T.shape[1] + self.m)
         degenerate = 0  # degenerate pivots since the last step that made progress
 
         for step in range(max_pivots):
@@ -215,64 +190,21 @@ class _Tableau:
             self.basis[leave_row] = enter
             self.x_basic[leave_row] = entering_value
             self.at_upper[leaving] = leaves_at_upper
-            eligible[leaving] = enterable[leaving]
+            eligible[leaving] = True
             eligible[enter] = False
 
         raise RuntimeError("simplex exceeded its pivot budget")
-
-
-def _drive_out_artificials(tab: _Tableau, art: np.ndarray) -> None:
-    """Pivot basic artificials (all at ~0) out wherever a real column allows.
-
-    A row whose real coefficients are all zero is redundant; its artificial
-    stays basic at zero and can never move again.
-    """
-    art_set = {int(a) for a in art}
-    for row in range(tab.m):
-        if int(tab.basis[row]) not in art_set:
-            continue
-        is_basic = np.zeros(tab.total, dtype=bool)
-        is_basic[tab.basis] = True
-        for j in range(tab.n + tab.m):
-            if is_basic[j] or abs(tab.T[row, j]) <= PIVOT_TOL:
-                continue
-            entering_value = tab.nonbasic_value(j)
-            tab.pivot(row, j)
-            tab.basis[row] = j
-            tab.x_basic[row] = entering_value
-            break
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve a small dense LP; deterministic for a fixed input.
 
     Returns an optimal basic feasible solution, or a solution object with
-    status INFEASIBLE / UNBOUNDED (x zeroed) when no optimum exists.
+    status UNBOUNDED (x zeroed) when the objective grows without limit.
     """
     tab = _Tableau(lp)
-    n, m = tab.n, tab.m
-
-    violated = np.flatnonzero(tab.x_basic < -1e-11)
-    if violated.size:
-        art = tab.add_artificials(violated)
-        c_phase1 = np.zeros(tab.total)
-        c_phase1[art] = -1.0
-        status = tab.run(c_phase1, np.ones(tab.total, dtype=bool))
-        if status is not LpStatus.OPTIMAL:
-            return tab.solution(LpStatus.INFEASIBLE, np.zeros(n), 0.0)
-        basic_art = np.isin(tab.basis, art)
-        infeasibility = float(tab.x_basic[basic_art].sum()) if basic_art.any() else 0.0
-        if infeasibility > FEASIBILITY_TOL:
-            return tab.solution(LpStatus.INFEASIBLE, np.zeros(n), 0.0)
-        _drive_out_artificials(tab, art)
-        tab.upper[art] = 0.0  # pin any leftover artificials at zero
-
-    c_all = np.zeros(tab.total)
-    c_all[:n] = lp.objective
-    enterable = np.ones(tab.total, dtype=bool)
-    if tab.num_artificial:
-        enterable[n + m :] = False
-    status = tab.run(c_all, enterable)
+    n = tab.n
+    status = tab.run(np.concatenate([lp.objective, np.zeros(tab.m)]))
     if status is not LpStatus.OPTIMAL:
         return tab.solution(status, np.zeros(n), 0.0)
 

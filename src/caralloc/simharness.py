@@ -13,7 +13,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -26,7 +26,7 @@ from .baselines import (
     heuristic_solve,
     oracle_enumeration_count,
 )
-from .core import ProblemInstance, evaluate_wsu
+from .core import ProblemInstance, check_document, evaluate_wsu
 from .sgpa import SgpaConfig, _snap, capped_simplex_normalize, solve
 
 __all__ = [
@@ -111,7 +111,7 @@ class GenParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GenParams":
-        doc = dict(doc)
+        doc = check_document(doc, [f.name for f in fields(cls)], "instance family")
         if "snr_db_range" in doc:
             doc["snr_db_range"] = tuple(doc["snr_db_range"])
         if "stream_key" in doc:
@@ -190,14 +190,13 @@ class SweepConfig:
         for name in self.algorithms:
             if name not in SWEEP_ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}; pick from {tuple(SWEEP_ALGORITHMS)}")
+        # The grid sets one cap for all users per point, and the CSV has one Mk column.
+        if np.unique(self.gen.caps_array()).size > 1:
+            raise ValueError("a sweep needs one ue_cc_cap for every user")
 
     def grid_points(self) -> List[Tuple[int, int, int]]:
         ms = tuple(self.m_grid) if self.m_grid else (self.gen.M,)
-        base_caps = self.gen.caps_array()
-        if self.mk_grid:
-            mks = tuple(self.mk_grid)
-        else:
-            mks = (int(base_caps[0]),)
+        mks = tuple(self.mk_grid) if self.mk_grid else (int(self.gen.caps_array()[0]),)
         points = []
         index = 0
         for m in ms:
@@ -208,7 +207,7 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
-        doc = dict(doc)
+        doc = check_document(doc, [f.name for f in fields(cls)], "sweep config")
         doc["algorithms"] = tuple(doc["algorithms"])
         doc["gen"] = GenParams.from_dict(doc["gen"])
         if doc.get("m_grid") is not None:

@@ -123,6 +123,13 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--instance", str(tmp_path / "nope.json"))
         assert code == 2
 
+    def test_list_valued_instance_file(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text("[1, 2]")
+        code, _, err = run(capsys, "solve", "--instance", str(path))
+        assert code == 2
+        assert "JSON object" in err
+
     def test_trace_csv_written(self, tmp_path, capsys):
         path = write_instance(tmp_path, capsys)
         trace = tmp_path / "trace.csv"
@@ -172,6 +179,21 @@ class TestSweep:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["sweep", "--bogus"]) == 2
+
+    def test_misspelled_config_fields_exit_2(self, tmp_path, capsys):
+        gen = {"K": 2, "M": 3, "N": 2, "ue_cc_cap": 1, "system_cc_cap_limit": 2}
+        config = {"algorithms": ["sgpa"], "gen": gen, "trials": 1, "base_seed": 3}
+        for misspelled, name in (
+            ({**config, "gen": {**gen, "snr_range": [0, 10]}}, "snr_range"),
+            ({**config, "mgrid": [3, 4]}, "mgrid"),
+        ):
+            config_path = tmp_path / "sweep.json"
+            config_path.write_text(json.dumps(misspelled))
+            code, _, err = run(
+                capsys, "sweep", "--config", str(config_path), "-o", str(tmp_path / "o.csv")
+            )
+            assert code == 2
+            assert name in err
 
 
 class TestFig1Command:

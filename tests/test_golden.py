@@ -173,7 +173,7 @@ def case_digests(instance):
         "heuristic": digest(heuristic, evaluate_wsu(instance, heuristic)),
         "heuristic_lp": lp_digest(instance),
     }
-    required = oracle_enumeration_count(instance.M, instance.ue_cc_caps, instance.system_cc_cap)
+    required = oracle_enumeration_count(instance.num_ccs, instance.ue_cc_caps, instance.system_cc_cap)
     if required <= ORACLE_MAX_ENUMERATIONS:
         out["oracle"] = digest(*brute_force_oracle(instance))
     out.update(iterate_digests(instance))

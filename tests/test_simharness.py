@@ -198,6 +198,15 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepConfig(algorithms=("magic",), gen=small_params(), trials=1, base_seed=0)
 
+    def test_rejects_per_user_caps_that_differ(self):
+        # The grid would run every trial at one cap and write it as Mk.
+        gen = small_params(K=3, ue_cc_cap=[1, 2, 3])
+        with pytest.raises(ValueError, match="ue_cc_cap"):
+            SweepConfig(algorithms=("sgpa",), gen=gen, trials=1, base_seed=0)
+        equal = small_params(K=3, ue_cc_cap=[2, 2, 2])
+        config = SweepConfig(algorithms=("sgpa",), gen=equal, trials=1, base_seed=0)
+        assert [p[2] for p in config.grid_points()] == [2]
+
 
 class TestFig1Experiment:
     def test_trajectory_shape_and_start(self):
