@@ -2,8 +2,9 @@
 
 * per-block winner-takes-all greedy (optimal when both carrier caps are slack),
 * a two-stage LP rounding heuristic of comparable cost to the iterative solver,
-* an exhaustive search over carrier activations and per-user carrier subsets,
-  exact on small instances and used as a test oracle.
+* an exhaustive search over the maximal carrier activations and per-user
+  carrier subsets (no smaller set can do better, since utilities are
+  nonnegative), exact on small instances and used as a test oracle.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .core import (
     BinaryAllocation,
     ProblemInstance,
     block_winners,
+    check_feasibility,
     evaluate_wsu,
     round_allocation,
 )
@@ -67,6 +69,15 @@ class GreedyResult:
     within_caps: bool
 
 
+def _used_allocation(alpha: np.ndarray) -> BinaryAllocation:
+    """The allocation of block assignment ``alpha`` that admits each user only
+    to the carriers where it holds a block and activates only the carriers
+    with an admitted user."""
+    beta = (alpha.sum(axis=2) > 0).astype(np.int8)
+    gamma = (beta.sum(axis=0) > 0).astype(np.int8)
+    return BinaryAllocation(alpha, beta, gamma)
+
+
 def greedy_unconstrained(instance: ProblemInstance) -> GreedyResult:
     """Winner-takes-all per resource block.
 
@@ -77,14 +88,9 @@ def greedy_unconstrained(instance: ProblemInstance) -> GreedyResult:
     the output respects them anyway.
     """
     everyone = np.ones((instance.num_ues, instance.num_ccs), dtype=np.int8)
-    alpha = block_winners(instance.weighted_utilities, everyone, everyone[0])
-    beta = (alpha.sum(axis=2) > 0).astype(np.int8)
-    gamma = (beta.sum(axis=0) > 0).astype(np.int8)
-    within_caps = bool(
-        np.all(beta.sum(axis=1) <= instance.ue_cc_caps)
-        and gamma.sum() <= instance.system_cc_cap
-    )
-    return GreedyResult(BinaryAllocation(alpha, beta, gamma), within_caps)
+    allocation = _used_allocation(block_winners(instance.weighted_utilities, everyone, everyone[0]))
+    report = check_feasibility(instance, allocation)
+    return GreedyResult(allocation, report.c2_ok and report.c3_ok)
 
 
 def _carrier_selection_lp(instance: ProblemInstance) -> LinearProgram:
@@ -161,28 +167,30 @@ def heuristic_solve(instance: ProblemInstance) -> BinaryAllocation:
 
 def oracle_enumeration_count(num_ccs: int, caps, system_cap: int) -> int:
     """Number of (activation set, per-user subset) combinations the
-    exhaustive search would evaluate."""
-    caps = np.asarray(caps, dtype=int)
-    total = 0
-    for size in range(min(system_cap, num_ccs) + 1):
-        per_ue = 1
-        for cap in caps:
-            per_ue *= sum(math.comb(size, j) for j in range(min(int(cap), size) + 1))
-        total += math.comb(num_ccs, size) * per_ue
-    return total
+    exhaustive search evaluates: C(M, M0) * prod_k C(M0, min(cap_k, M0))."""
+    size = min(system_cap, num_ccs)
+    per_ue = [math.comb(size, min(int(cap), size)) for cap in caps]
+    return math.comb(num_ccs, size) * math.prod(per_ue)
 
 
 def brute_force_oracle(
     instance: ProblemInstance, budget: Optional[OracleBudget] = None
 ) -> Tuple[BinaryAllocation, float]:
-    """Exact optimum by exhaustive enumeration.
+    """Exact optimum by exhaustive enumeration of the maximal carrier sets.
 
-    Activation sets are walked in ascending size, lexicographic within each
-    size; so are each user's carrier subsets. With all carrier memberships
-    fixed, the best block assignment decouples per block (winner-takes-all
-    among the members), so only the membership combinations need walking.
-    Ties keep the first combination found. Raises BudgetExceededError (with
-    the required count) before doing any work that would blow the budget.
+    Utilities are nonnegative and weights positive, so activating one more
+    carrier, or admitting a user to one more active carrier, never lowers the
+    best block assignment. Some optimum therefore activates exactly M0
+    carriers and admits each user to exactly min(cap_k, M0) of them, and
+    only those sets are walked: activation sets in lexicographic order, and
+    within each, every combination of the users' subsets (each user's in
+    lexicographic order). With all memberships fixed, the best block
+    assignment decouples per block (winner-takes-all among the members), so
+    a combination's value is a sum over one (M0, N) array of block maxima.
+    The first combination with the largest value wins; the returned
+    allocation keeps only the admissions and activations its blocks use.
+    Raises BudgetExceededError (with the required count) before doing any
+    work that would blow the budget.
     """
     budget = budget if budget is not None else OracleBudget()
     required = oracle_enumeration_count(
@@ -191,43 +199,25 @@ def brute_force_oracle(
     if required > budget.max_enumerations:
         raise BudgetExceededError(required, budget)
 
-    K, M, N = instance.num_ues, instance.num_ccs, instance.num_rbs_per_cc
+    K, M, size = instance.num_ues, instance.num_ccs, instance.system_cc_cap
     weighted = instance.weighted_utilities
+    # Row j of masks[k] marks user k's j-th carrier subset of an active set.
+    slots = np.arange(size)
+    masks = [
+        np.array([np.isin(slots, c) for c in itertools.combinations(slots, min(int(cap), size))])
+        for cap in instance.ue_cc_caps
+    ]
 
     best_value = -1.0
-    best_active: tuple = ()
-    best_membership: Optional[np.ndarray] = None
-
-    for size in range(instance.system_cc_cap + 1):
-        for active in itertools.combinations(range(M), size):
-            active_arr = np.array(active, dtype=int)
-            w_active = weighted[:, active_arr, :] if size else np.zeros((K, 0, N))
-
-            per_ue_subsets = []
-            for k in range(K):
-                cap = min(int(instance.ue_cc_caps[k]), size)
-                masks = []
-                for count in range(cap + 1):
-                    for chosen in itertools.combinations(range(size), count):
-                        mask = np.zeros(size, dtype=bool)
-                        mask[list(chosen)] = True
-                        masks.append(mask)
-                per_ue_subsets.append(masks)
-
-            for combo in itertools.product(*per_ue_subsets):
-                membership = np.array(combo, dtype=bool).reshape(K, size)
-                value = float(
-                    (w_active * membership[:, :, None]).max(axis=0).sum()
-                ) if size else 0.0
-                if value > best_value:
-                    best_value = value
-                    best_active = active
-                    best_membership = membership
+    for active in itertools.combinations(range(M), size):
+        w_active = weighted[:, active, :]
+        for combo in itertools.product(*masks):
+            membership = np.array(combo)
+            value = float((w_active * membership[:, :, None]).max(axis=0).sum())
+            if value > best_value:
+                best_value, best_active, best_membership = value, active, membership
 
     beta = np.zeros((K, M), dtype=np.int8)
-    gamma = np.zeros(M, dtype=np.int8)
-    if best_active:
-        gamma[list(best_active)] = 1
-        beta[:, list(best_active)] = best_membership
-    allocation = BinaryAllocation(block_winners(weighted, beta, gamma), beta, gamma)
+    beta[:, list(best_active)] = best_membership
+    allocation = _used_allocation(block_winners(weighted, beta, np.ones(M)))
     return allocation, evaluate_wsu(instance, allocation)

@@ -91,10 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--algorithm", choices=["sgpa", "greedy", "heuristic", "oracle"], default="sgpa"
     )
-    p_solve.add_argument("--max-iterations", type=int, default=20)
-    p_solve.add_argument("--snap-tolerance", type=float, default=1e-9)
-    p_solve.add_argument("--zero-tolerance", type=float, default=1e-12)
-    p_solve.add_argument("--convergence-tolerance", type=float, default=1e-10)
+    p_solve.add_argument("--max-iterations", type=int, default=SgpaConfig.max_iterations)
+    p_solve.add_argument("--snap-tolerance", type=float, default=SgpaConfig.snap_tolerance)
+    p_solve.add_argument("--zero-tolerance", type=float, default=SgpaConfig.zero_tolerance)
+    p_solve.add_argument(
+        "--convergence-tolerance", type=float, default=SgpaConfig.convergence_tolerance
+    )
     p_solve.add_argument("--trace", default=None, help="write per-iteration trace CSV here")
     p_solve.add_argument("--budget", type=int, default=10_000_000, help="oracle enumeration budget")
     p_solve.add_argument("--allocation-out", default=None, help="write the allocation JSON here")

@@ -17,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -45,14 +45,25 @@ class DimensionMismatchError(ValueError):
     """An allocation does not match the instance dimensions."""
 
 
-def check_document(doc, fields, what: str) -> dict:
+def check_document(doc, spec, what: str) -> dict:
     """A copy of the parsed JSON ``doc``, after checking that it is an object
-    whose keys all lie in ``fields``; ValueError naming the culprits if not."""
+    with no unknown key and every required one; ValueError naming the
+    culprits if not. ``spec`` is a tuple of keys, all required, or a
+    dataclass, whose fields without a default are required."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
-    unknown = set(doc) - set(fields)
+    known = required = spec
+    if is_dataclass(spec):
+        known = [f.name for f in fields(spec)]
+        required = [
+            f.name for f in fields(spec) if f.default is MISSING and f.default_factory is MISSING
+        ]
+    unknown = set(doc) - set(known)
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = [name for name in required if name not in doc]
+    if missing:
+        raise ValueError(f"missing {what} fields: {missing}")
     return dict(doc)
 
 
@@ -137,18 +148,15 @@ class ProblemInstance:
     @classmethod
     def from_dict(cls, doc: dict) -> "ProblemInstance":
         doc = check_document(doc, ("K", "M", "N", "weights", "Mk", "M0", "phi"), "instance")
-        try:
-            return cls(
-                num_ues=int(doc["K"]),
-                num_ccs=int(doc["M"]),
-                num_rbs_per_cc=int(doc["N"]),
-                weights=doc["weights"],
-                utilities=doc["phi"],
-                ue_cc_caps=doc["Mk"],
-                system_cc_cap=int(doc["M0"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"instance document is missing field {exc}") from exc
+        return cls(
+            num_ues=int(doc["K"]),
+            num_ccs=int(doc["M"]),
+            num_rbs_per_cc=int(doc["N"]),
+            weights=doc["weights"],
+            utilities=doc["phi"],
+            ue_cc_caps=doc["Mk"],
+            system_cc_cap=int(doc["M0"]),
+        )
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

@@ -22,7 +22,7 @@ so every live value is the same bits as when sweeping all carriers.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import List, Optional, Union
 
 import numpy as np
@@ -31,6 +31,7 @@ from .core import (
     BinaryAllocation,
     ProblemInstance,
     RelaxedAllocation,
+    check_document,
     evaluate_wsu,
     quantize,
 )
@@ -89,10 +90,7 @@ class SgpaConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SgpaConfig":
-        unknown = set(doc) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown solver config fields: {sorted(unknown)}")
-        return cls(**doc)
+        return cls(**check_document(doc, cls, "sgpa config"))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -111,7 +111,7 @@ class GenParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GenParams":
-        doc = check_document(doc, [f.name for f in fields(cls)], "instance family")
+        doc = check_document(doc, cls, "instance family")
         if "snr_db_range" in doc:
             doc["snr_db_range"] = tuple(doc["snr_db_range"])
         if "stream_key" in doc:
@@ -207,7 +207,7 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
-        doc = check_document(doc, [f.name for f in fields(cls)], "sweep config")
+        doc = check_document(doc, cls, "sweep config")
         doc["algorithms"] = tuple(doc["algorithms"])
         doc["gen"] = GenParams.from_dict(doc["gen"])
         if doc.get("m_grid") is not None:

@@ -2,15 +2,18 @@
 
 These deliberately avoid the implementation paths they check: the capped
 simplex multiplier is found by bisection on the saturation count, small
-LPs are solved by enumerating candidate vertices, and the heuristic's
+LPs are solved by enumerating candidate vertices, the heuristic's
 carrier-selection LP has a reference formulation with explicit product
-variables.
+variables, and the exhaustive oracle has a reference that walks every
+carrier set of every size.
 """
 
 import itertools
+import math
 
 import numpy as np
 
+from caralloc.core import BinaryAllocation, ProblemInstance, block_winners, evaluate_wsu
 from caralloc.lp import LinearProgram
 
 
@@ -118,3 +121,81 @@ def three_block_carrier_selection_lp(instance):
     c[:km] = gains.ravel()
     bounds = np.column_stack([np.zeros(n), np.ones(n)])
     return LinearProgram(c, A, b, bounds)
+
+
+def permuted_instance(instance, ue_perm, cc_perm):
+    """``instance`` with its users reordered by ``ue_perm`` and its carriers
+    by ``cc_perm``."""
+    return ProblemInstance(
+        num_ues=instance.num_ues,
+        num_ccs=instance.num_ccs,
+        num_rbs_per_cc=instance.num_rbs_per_cc,
+        weights=instance.weights[ue_perm],
+        utilities=instance.utilities[np.ix_(ue_perm, cc_perm)],
+        ue_cc_caps=instance.ue_cc_caps[ue_perm],
+        system_cc_cap=instance.system_cc_cap,
+    )
+
+
+def reference_enumeration_count(num_ccs, caps, system_cap):
+    """Number of combinations :func:`reference_oracle` walks: every
+    activation set of every size up to the system cap, times every per-user
+    subset of every size up to the user's cap."""
+    caps = np.asarray(caps, dtype=int)
+    total = 0
+    for size in range(min(system_cap, num_ccs) + 1):
+        per_ue = 1
+        for cap in caps:
+            per_ue *= sum(math.comb(size, j) for j in range(min(int(cap), size) + 1))
+        total += math.comb(num_ccs, size) * per_ue
+    return total
+
+
+def reference_oracle(instance):
+    """Exact optimum by walking every carrier set, smallest first.
+
+    Activation sets are walked in ascending size, lexicographic within each
+    size; so are each user's carrier subsets. Ties keep the first
+    combination found, and the allocation admits and activates the whole
+    winning combination, used or not.
+    """
+    K, M, N = instance.num_ues, instance.num_ccs, instance.num_rbs_per_cc
+    weighted = instance.weighted_utilities
+
+    best_value = -1.0
+    best_active = ()
+    best_membership = None
+
+    for size in range(instance.system_cc_cap + 1):
+        for active in itertools.combinations(range(M), size):
+            active_arr = np.array(active, dtype=int)
+            w_active = weighted[:, active_arr, :] if size else np.zeros((K, 0, N))
+
+            per_ue_subsets = []
+            for k in range(K):
+                cap = min(int(instance.ue_cc_caps[k]), size)
+                masks = []
+                for count in range(cap + 1):
+                    for chosen in itertools.combinations(range(size), count):
+                        mask = np.zeros(size, dtype=bool)
+                        mask[list(chosen)] = True
+                        masks.append(mask)
+                per_ue_subsets.append(masks)
+
+            for combo in itertools.product(*per_ue_subsets):
+                membership = np.array(combo, dtype=bool).reshape(K, size)
+                value = float(
+                    (w_active * membership[:, :, None]).max(axis=0).sum()
+                ) if size else 0.0
+                if value > best_value:
+                    best_value = value
+                    best_active = active
+                    best_membership = membership
+
+    beta = np.zeros((K, M), dtype=np.int8)
+    gamma = np.zeros(M, dtype=np.int8)
+    if best_active:
+        gamma[list(best_active)] = 1
+        beta[:, list(best_active)] = best_membership
+    allocation = BinaryAllocation(block_winners(weighted, beta, gamma), beta, gamma)
+    return allocation, evaluate_wsu(instance, allocation)

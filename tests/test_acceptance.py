@@ -11,17 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from caralloc.baselines import (
-    brute_force_oracle,
-    greedy_unconstrained,
-    heuristic_solve,
-    oracle_enumeration_count,
-)
+from caralloc.baselines import brute_force_oracle, greedy_unconstrained, heuristic_solve
 from caralloc.core import check_feasibility, evaluate_wsu, top_cap_indicator
 from caralloc.sgpa import SgpaConfig, capped_simplex_normalize, solve
 from caralloc.simharness import GenParams, SweepConfig, fig1_experiment, run_sweep, sample_instance
 
-from helpers import bisect_capped_simplex_kappa
+from helpers import bisect_capped_simplex_kappa, reference_enumeration_count
 
 
 def report(number, name, ok, detail):
@@ -278,18 +273,17 @@ def test_criterion_8_per_user_cap_sweep_shape():
     )
 
 
-def test_criterion_9_feasibility_and_iterate_identities():
-    """500 random instances: every emitted allocation is feasible and every
-    solver iterate satisfies its normalization identities within 1e-9.
+#: Criterion 9 runs the oracle where the every-size walk of
+#: ``helpers.reference_oracle`` stays this small (439 of its 500 draws).
+CRITERION_9_ORACLE_MAX = 200_000
 
-    The exhaustive search runs on the instances whose enumeration stays
-    small; the greedy runs where its slack-cap precondition holds.
+
+def criterion_9_draws():
+    """Criterion 9's 500 instances, as (instance, slack, runs_oracle).
+
+    Every fifth draw has slack caps, so the greedy is optimal on it.
     """
     rng = np.random.default_rng(314159)
-    feasible = 0
-    worst_residual = 0.0
-    oracle_runs = 0
-    greedy_runs = 0
     for index in range(500):
         K = int(rng.integers(2, 6))
         M = int(rng.integers(2, 7))
@@ -300,7 +294,22 @@ def test_criterion_9_feasibility_and_iterate_identities():
         instance = sample_instance(
             GenParams(K=K, M=M, N=N, ue_cc_cap=cap, system_cc_cap_limit=limit, seed=index)
         )
+        required = reference_enumeration_count(M, [cap] * K, min(M, limit))
+        yield instance, slack, required <= CRITERION_9_ORACLE_MAX
 
+
+def test_criterion_9_feasibility_and_iterate_identities():
+    """500 random instances: every emitted allocation is feasible and every
+    solver iterate satisfies its normalization identities within 1e-9.
+
+    The exhaustive search runs on the instances whose enumeration stays
+    small; the greedy runs where its slack-cap precondition holds.
+    """
+    feasible = 0
+    worst_residual = 0.0
+    oracle_runs = 0
+    greedy_runs = 0
+    for instance, slack, runs_oracle in criterion_9_draws():
         result = solve(instance, SgpaConfig(record_trace=True))
         residual = max(rec.sum_residual for rec in result.trace)
         worst_residual = max(worst_residual, residual)
@@ -308,7 +317,7 @@ def test_criterion_9_feasibility_and_iterate_identities():
 
         entry_ok &= check_feasibility(instance, heuristic_solve(instance)).ok
 
-        if oracle_enumeration_count(M, [cap] * K, min(M, limit)) <= 200_000:
+        if runs_oracle:
             oracle_alloc, _ = brute_force_oracle(instance)
             entry_ok &= check_feasibility(instance, oracle_alloc).ok
             oracle_runs += 1

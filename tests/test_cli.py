@@ -7,7 +7,7 @@ import numpy as np
 
 from caralloc import baselines
 from caralloc.baselines import _carrier_selection_lp
-from caralloc.cli import main
+from caralloc.cli import build_parser, main
 from caralloc.core import BinaryAllocation, ProblemInstance
 from caralloc.lp import solve_lp
 from caralloc.sgpa import SgpaConfig, solve
@@ -119,6 +119,12 @@ class TestSolve:
         assert code == 4
         assert "budget" in err
 
+    def test_solver_flag_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["solve", "--instance", "inst.json"])
+        defaults = SgpaConfig()
+        for name in ("max_iterations", "snap_tolerance", "zero_tolerance", "convergence_tolerance"):
+            assert getattr(args, name) == getattr(defaults, name)
+
     def test_missing_instance_file(self, tmp_path, capsys):
         code, _, _ = run(capsys, "solve", "--instance", str(tmp_path / "nope.json"))
         assert code == 2
@@ -194,6 +200,24 @@ class TestSweep:
             )
             assert code == 2
             assert name in err
+
+    def test_missing_or_malformed_config_fields_exit_2(self, tmp_path, capsys):
+        gen = {"K": 2, "M": 3, "N": 2, "ue_cc_cap": 1, "system_cc_cap_limit": 2}
+        config = {"algorithms": ["sgpa"], "gen": gen, "trials": 1, "base_seed": 3}
+        no_trials = {key: value for key, value in config.items() if key != "trials"}
+        for broken, names in (
+            (no_trials, ["trials"]),
+            ({**config, "gen": {"K": 2}}, ["M", "N", "ue_cc_cap", "system_cc_cap_limit"]),
+            ({**config, "sgpa": 5}, ["sgpa", "JSON object"]),
+        ):
+            config_path = tmp_path / "sweep.json"
+            config_path.write_text(json.dumps(broken))
+            code, _, err = run(
+                capsys, "sweep", "--config", str(config_path), "-o", str(tmp_path / "o.csv")
+            )
+            assert code == 2
+            for name in names:
+                assert name in err
 
 
 class TestFig1Command:

@@ -31,17 +31,19 @@ from caralloc.baselines import (
     brute_force_oracle,
     greedy_unconstrained,
     heuristic_solve,
-    oracle_enumeration_count,
 )
 from caralloc.core import RelaxedAllocation, evaluate_wsu
 from caralloc.lp import solve_lp
 from caralloc.sgpa import SgpaConfig, solve
 from caralloc.simharness import GenParams, sample_instance
 
+from helpers import reference_enumeration_count
+
 DIGEST_FILE = Path(__file__).with_name("golden_digests.json")
 SEED = 20170611
 TRIALS = 6
-#: The oracle runs only where the exhaustive search stays this small.
+#: The oracle runs only where the every-size walk of
+#: ``helpers.reference_oracle`` stays this small, which pins the case set.
 ORACLE_MAX_ENUMERATIONS = 20_000
 #: Sweep budgets at which the solver's relaxed iterate and trace are pinned.
 ITERATE_SWEEPS = (20, 200)
@@ -173,7 +175,9 @@ def case_digests(instance):
         "heuristic": digest(heuristic, evaluate_wsu(instance, heuristic)),
         "heuristic_lp": lp_digest(instance),
     }
-    required = oracle_enumeration_count(instance.num_ccs, instance.ue_cc_caps, instance.system_cc_cap)
+    required = reference_enumeration_count(
+        instance.num_ccs, instance.ue_cc_caps, instance.system_cc_cap
+    )
     if required <= ORACLE_MAX_ENUMERATIONS:
         out["oracle"] = digest(*brute_force_oracle(instance))
     out.update(iterate_digests(instance))

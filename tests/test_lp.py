@@ -131,7 +131,7 @@ class TestAgainstVertexEnumeration:
             assert np.all(A @ sol.x <= b + 1e-7)
             assert np.all(sol.x >= lower - 1e-9) and np.all(sol.x <= upper + 1e-9)
 
-    def test_random_lps_needing_phase_one(self):
+    def test_random_box_lps(self):
         for c, A, b, lower, upper in random_box_lps():
             lp = LinearProgram(c, A, b, np.column_stack([lower, upper]))
             sol = solve_lp(lp)
@@ -190,7 +190,7 @@ class TestAgainstHighs:
             assert sol.status is LpStatus.OPTIMAL
             assert sol.objective_value == pytest.approx(highs_optimum(lp), abs=1e-7)
 
-    def test_random_lps_needing_phase_one(self):
+    def test_random_box_lps(self):
         for c, A, b, lower, upper in random_box_lps():
             lp = LinearProgram(c, A, b, np.column_stack([lower, upper]))
             sol = solve_lp(lp)

@@ -1,11 +1,18 @@
-"""Property-based checks of the shared rounding step."""
+"""Property-based checks of the shared rounding step and of every
+algorithm's indifference to how users and carriers are numbered."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from caralloc.core import ProblemInstance, check_feasibility, round_allocation
+from caralloc.baselines import brute_force_oracle, greedy_unconstrained, heuristic_solve
+from caralloc.core import ProblemInstance, check_feasibility, evaluate_wsu, round_allocation
+from caralloc.sgpa import SgpaConfig, solve
+from caralloc.simharness import GenParams, sample_instance
+
+from helpers import permuted_instance
 
 UNIT = st.floats(0.0, 1.0)
 
@@ -54,3 +61,57 @@ def test_round_allocation_is_feasible_and_gives_blocks_to_best_admitted_user(cas
             assert holders.size == 1
             assert admitted[holders[0], m]
             assert scores[holders[0], m, n] == best
+
+
+#: (K, M, N, Mk, M0 limit): the oracle_small shape, small golden shapes,
+#: a slack-cap shape, and (3, 3, 2, 1, 2), the shape of the former oracle-only
+#: permutation test.
+PERMUTATION_SHAPES = (
+    (3, 3, 2, 1, 2),
+    (4, 6, 4, 2, 2),
+    (3, 5, 3, 2, 3),
+    (2, 3, 2, 1, 2),
+    (4, 4, 6, 3, 3),
+    (3, 3, 2, 3, 3),
+)
+
+WSU_ALGORITHMS = {
+    "oracle": lambda inst: brute_force_oracle(inst)[0],
+    "greedy": lambda inst: greedy_unconstrained(inst).allocation,
+    "heuristic": heuristic_solve,
+}
+
+
+@st.composite
+def permuted_pairs(draw):
+    """A sampled instance and the same instance with its users and carriers
+    renumbered, plus the two permutations."""
+    K, M, N, Mk, M0 = draw(st.sampled_from(PERMUTATION_SHAPES))
+    seed = draw(st.integers(0, 2**32 - 1))
+    ue_perm = np.array(draw(st.permutations(range(K))))
+    cc_perm = np.array(draw(st.permutations(range(M))))
+    instance = sample_instance(
+        GenParams(K=K, M=M, N=N, ue_cc_cap=Mk, system_cc_cap_limit=M0, seed=seed)
+    )
+    return instance, permuted_instance(instance, ue_perm, cc_perm), ue_perm, cc_perm
+
+
+@settings(max_examples=100, deadline=None)
+@given(permuted_pairs())
+def test_algorithms_commute_with_index_permutations(case):
+    """Renumbering users and carriers leaves the oracle's, the greedy's and
+    the heuristic's WSU unchanged, and renumbers the solver's relaxed
+    iterate at 20 sweeps. The solver's WSU is not compared: its rounding
+    breaks exact ties by index, and iterates of 0.0 and 9e-16 are a tie."""
+    instance, permuted, ue_perm, cc_perm = case
+    for name, run in WSU_ALGORITHMS.items():
+        wsu = evaluate_wsu(instance, run(instance))
+        assert evaluate_wsu(permuted, run(permuted)) == pytest.approx(wsu, rel=1e-9), name
+
+    config = SgpaConfig(max_iterations=20)
+    relaxed = solve(instance, config).relaxed
+    relaxed_permuted = solve(permuted, config).relaxed
+    rows = np.ix_(ue_perm, cc_perm)
+    np.testing.assert_allclose(relaxed_permuted.alpha, relaxed.alpha[rows], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(relaxed_permuted.beta, relaxed.beta[rows], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(relaxed_permuted.gamma, relaxed.gamma[cc_perm], rtol=0, atol=1e-12)
