@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: gen, solve, sweep, fig1, oracle-compare. Structured
+Subcommands: gen, solve, sweep, fig1. Comparing algorithms against the
+exhaustive oracle is a sweep with "oracle" among its algorithms. Structured
 output is JSON on stdout, tabular output is CSV files. Exit codes: 0 on
 success, 2 for usage/config/file problems, 3 when an algorithm emitted an
 allocation that fails its own feasibility guarantee, 4 when the exhaustive
@@ -15,8 +16,6 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .baselines import (
     BudgetExceededError,
     OracleBudget,
@@ -29,7 +28,6 @@ from .sgpa import SgpaConfig, solve, write_trace_csv
 from .simharness import (
     GenParams,
     SweepConfig,
-    _run_trial,
     fig1_experiment,
     run_sweep,
     sample_instance,
@@ -98,7 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--convergence-tolerance", type=float, default=SgpaConfig.convergence_tolerance
     )
     p_solve.add_argument("--trace", default=None, help="write per-iteration trace CSV here")
-    p_solve.add_argument("--budget", type=int, default=10_000_000, help="oracle enumeration budget")
+    p_solve.add_argument(
+        "--budget", type=int, default=OracleBudget.max_enumerations, help="oracle enumeration budget"
+    )
     p_solve.add_argument("--allocation-out", default=None, help="write the allocation JSON here")
 
     p_sweep = sub.add_parser("sweep", help="run a Monte-Carlo sweep from a JSON config")
@@ -112,18 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig1.add_argument("--iterations", type=int, default=50)
     p_fig1.add_argument("--seed", type=int, default=0)
     p_fig1.add_argument("-o", "--output", required=True, help="trajectory CSV path")
-
-    p_cmp = sub.add_parser(
-        "oracle-compare", help="solver and heuristic vs exhaustive optimum on small instances"
-    )
-    p_cmp.add_argument("--trials", type=int, default=200)
-    p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--K", type=int, default=2)
-    p_cmp.add_argument("--M", type=int, default=3)
-    p_cmp.add_argument("--N", type=int, default=2)
-    p_cmp.add_argument("--Mk", type=int, default=1)
-    p_cmp.add_argument("--M0-limit", type=int, default=2)
-    p_cmp.add_argument("--budget", type=int, default=10_000_000)
 
     return parser
 
@@ -217,42 +205,11 @@ def cmd_fig1(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle_compare(args) -> int:
-    """Trial t is ``caralloc sweep``'s trial t of grid point 0, so the means
-    equal that sweep's ``mean_wsu``. The oracle raises on a blown budget
-    before enumerating anything."""
-    config = SweepConfig(
-        algorithms=("sgpa", "heuristic", "oracle"),
-        gen=GenParams(
-            K=args.K, M=args.M, N=args.N, ue_cc_cap=args.Mk, system_cc_cap_limit=args.M0_limit
-        ),
-        trials=args.trials,
-        base_seed=args.seed,
-        oracle_budget=OracleBudget(args.budget),
-    )
-    trials = [_run_trial((config, 0, args.M, args.Mk, t)) for t in range(args.trials)]
-    wsus = {name: np.array([trial[name][0] for trial in trials]) for name in config.algorithms}
-    means = {name: float(values.mean()) for name, values in wsus.items()}
-    doc = {
-        "trials": args.trials,
-        **{f"mean_wsu_{name}": mean for name, mean in means.items()},
-        "ratio_sgpa_oracle": means["sgpa"] / means["oracle"],
-        "ratio_heuristic_oracle": means["heuristic"] / means["oracle"],
-        "dominance_ok": bool(
-            np.all(wsus["sgpa"] <= wsus["oracle"] + 1e-9)
-            and np.all(wsus["heuristic"] <= wsus["oracle"] + 1e-9)
-        ),
-    }
-    print(json.dumps(doc))
-    return EXIT_OK
-
-
 _HANDLERS = {
     "gen": cmd_gen,
     "solve": cmd_solve,
     "sweep": cmd_sweep,
     "fig1": cmd_fig1,
-    "oracle-compare": cmd_oracle_compare,
 }
 
 

@@ -45,25 +45,37 @@ class DimensionMismatchError(ValueError):
     """An allocation does not match the instance dimensions."""
 
 
+#: JSON name and accepted types for dataclass fields annotated ``int`` or ``float``.
+_JSON_NUMBERS = {"int": ("integer", (int,)), "float": ("number", (int, float))}
+
+
 def check_document(doc, spec, what: str) -> dict:
     """A copy of the parsed JSON ``doc``, after checking that it is an object
     with no unknown key and every required one; ValueError naming the
     culprits if not. ``spec`` is a tuple of keys, all required, or a
-    dataclass, whose fields without a default are required."""
+    dataclass, whose fields without a default are required and whose fields
+    annotated ``int`` or ``float`` must hold a JSON number of that kind
+    (``true`` is not one)."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
     known = required = spec
+    numbers = {}
     if is_dataclass(spec):
         known = [f.name for f in fields(spec)]
         required = [
             f.name for f in fields(spec) if f.default is MISSING and f.default_factory is MISSING
         ]
+        numbers = {f.name: _JSON_NUMBERS[f.type] for f in fields(spec) if f.type in _JSON_NUMBERS}
     unknown = set(doc) - set(known)
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
     missing = [name for name in required if name not in doc]
     if missing:
         raise ValueError(f"missing {what} fields: {missing}")
+    for name, (json_name, types) in numbers.items():
+        value = doc.get(name, 0)
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"{what} field {name!r} must be a JSON {json_name}, not {value!r}")
     return dict(doc)
 
 

@@ -14,7 +14,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +55,8 @@ SWEEP_ALGORITHMS = {
 #: Smallest kept/dropped rate ratio r[M_k-1] / r[M_k] that fig1_experiment accepts.
 FIG1_MIN_RATE_RATIO = 1.25
 
-CSV_HEADER = ["algorithm", "M", "Mk", "M0", "trials", "mean_wsu", "stderr_wsu", "mean_solve_seconds"]
+CSV_HEADER = ["algorithm", "M", "Mk", "M0", "trials",
+              "mean_wsu", "stderr_wsu", "mean_solve_seconds", "above_oracle"]
 
 
 def _rng(seed: int, stream_key: Tuple[int, ...] = ()) -> np.random.Generator:
@@ -66,17 +67,18 @@ def _rng(seed: int, stream_key: Tuple[int, ...] = ()) -> np.random.Generator:
 class GenParams:
     """Description of the random instance family.
 
-    ``ue_cc_cap`` may be a scalar (same cap for every user) or one value per
-    user. The effective system cap is ``min(M, system_cc_cap_limit)``, so the
-    limit may exceed the carrier count. SNRs are drawn uniformly in dB,
-    channel gains are unit-mean exponential, and each block utility is the
-    normalized link capacity of its channel.
+    Every user gets the same carrier cap ``ue_cc_cap`` (a ``ProblemInstance``
+    itself may carry one cap per user). The effective system cap is
+    ``min(M, system_cc_cap_limit)``, so the limit may exceed the carrier
+    count. SNRs are drawn uniformly in dB, channel gains are unit-mean
+    exponential, and each block utility is the normalized link capacity of
+    its channel.
     """
 
     K: int
     M: int
     N: int
-    ue_cc_cap: Union[int, Sequence[int]]
+    ue_cc_cap: int
     system_cc_cap_limit: int
     snr_db_range: Tuple[float, float] = (-10.0, 20.0)
     weight_mode: str = "equal"
@@ -86,8 +88,7 @@ class GenParams:
     def __post_init__(self):
         if self.K < 2 or self.M < 2 or self.N < 2:
             raise ValueError("generated instances need K >= 2, M >= 2, N >= 2")
-        caps = self.caps_array()
-        if np.any(caps < 1) or np.any(caps > self.M):
+        if not 1 <= self.ue_cc_cap <= self.M:
             raise ValueError("ue_cc_cap must lie in [1, M]")
         if self.system_cc_cap_limit < 1:
             raise ValueError("system_cc_cap_limit must be >= 1")
@@ -96,14 +97,6 @@ class GenParams:
             raise ValueError("snr_db_range must satisfy low < high")
         if self.weight_mode not in ("equal", "uniform_simplex"):
             raise ValueError('weight_mode must be "equal" or "uniform_simplex"')
-
-    def caps_array(self) -> np.ndarray:
-        if np.isscalar(self.ue_cc_cap):
-            return np.full(self.K, int(self.ue_cc_cap), dtype=int)
-        caps = np.asarray(self.ue_cc_cap, dtype=int)
-        if caps.shape != (self.K,):
-            raise ValueError(f"ue_cc_cap must be scalar or length {self.K}")
-        return caps
 
     @property
     def effective_system_cap(self) -> int:
@@ -157,7 +150,7 @@ def sample_instance(params: GenParams) -> ProblemInstance:
         num_rbs_per_cc=N,
         weights=weights,
         utilities=phi,
-        ue_cc_caps=params.caps_array(),
+        ue_cc_caps=np.full(K, params.ue_cc_cap),
         system_cc_cap=params.effective_system_cap,
     )
 
@@ -190,13 +183,10 @@ class SweepConfig:
         for name in self.algorithms:
             if name not in SWEEP_ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}; pick from {tuple(SWEEP_ALGORITHMS)}")
-        # The grid sets one cap for all users per point, and the CSV has one Mk column.
-        if np.unique(self.gen.caps_array()).size > 1:
-            raise ValueError("a sweep needs one ue_cc_cap for every user")
 
     def grid_points(self) -> List[Tuple[int, int, int]]:
         ms = tuple(self.m_grid) if self.m_grid else (self.gen.M,)
-        mks = tuple(self.mk_grid) if self.mk_grid else (int(self.gen.caps_array()[0]),)
+        mks = tuple(self.mk_grid) if self.mk_grid else (self.gen.ue_cc_cap,)
         points = []
         index = 0
         for m in ms:
@@ -217,7 +207,9 @@ class SweepConfig:
         if "sgpa" in doc:
             doc["sgpa"] = SgpaConfig.from_dict(doc["sgpa"])
         if "oracle_budget" in doc:
-            doc["oracle_budget"] = OracleBudget(int(doc["oracle_budget"]))
+            budget = {"max_enumerations": doc["oracle_budget"]}
+            budget = check_document(budget, OracleBudget, "oracle_budget")
+            doc["oracle_budget"] = OracleBudget(**budget)
         return cls(**doc)
 
     @classmethod
@@ -236,6 +228,7 @@ class ResultRow:
     mean_wsu: float
     stderr_wsu: float
     mean_solve_seconds: float
+    above_oracle: Optional[int] = None
     skipped: bool = False
     skip_reason: str = ""
 
@@ -264,8 +257,10 @@ def run_sweep(config: SweepConfig) -> List[ResultRow]:
 
     Deterministic apart from the timing column. A grid point whose exhaustive
     search would exceed the budget gets its oracle row marked skipped (the
-    other algorithms still run). With ``jobs > 1`` the trials of every grid
-    point share one process pool.
+    other algorithms still run). Where the oracle ran, every other row counts
+    in ``above_oracle`` the trials whose WSU beats the oracle's by more than
+    1e-9. With ``jobs > 1`` the trials of every grid point share one process
+    pool.
     """
     points = []
     tasks = []
@@ -315,10 +310,14 @@ def run_sweep(config: SweepConfig) -> List[ResultRow]:
     rows: List[ResultRow] = []
     for point_index, (m, mk, m0, algorithms, skipped_rows) in enumerate(points):
         trial_results = results[point_index * config.trials : (point_index + 1) * config.trials]
+        wsus = {name: np.array([res[name][0] for res in trial_results]) for name in algorithms}
         for algorithm in algorithms:
-            wsus = np.array([res[algorithm][0] for res in trial_results])
             times = np.array([res[algorithm][1] for res in trial_results])
-            stderr = float(wsus.std(ddof=1) / np.sqrt(len(wsus))) if len(wsus) > 1 else 0.0
+            wsu = wsus[algorithm]
+            stderr = float(wsu.std(ddof=1) / np.sqrt(len(wsu))) if len(wsu) > 1 else 0.0
+            above = None
+            if "oracle" in wsus and algorithm != "oracle":
+                above = int(np.sum(wsu > wsus["oracle"] + 1e-9))
             rows.append(
                 ResultRow(
                     algorithm=algorithm,
@@ -326,9 +325,10 @@ def run_sweep(config: SweepConfig) -> List[ResultRow]:
                     Mk=mk,
                     M0=m0,
                     trials=config.trials,
-                    mean_wsu=float(wsus.mean()),
+                    mean_wsu=float(wsu.mean()),
                     stderr_wsu=stderr,
                     mean_solve_seconds=float(times.mean()),
+                    above_oracle=above,
                 )
             )
         rows.extend(skipped_rows)
@@ -336,26 +336,16 @@ def run_sweep(config: SweepConfig) -> List[ResultRow]:
 
 
 def write_results_csv(rows: Sequence[ResultRow], path) -> None:
-    """Fixed-schema CSV; skipped rows keep their key columns, numeric cells empty."""
+    """Fixed-schema CSV; skipped rows keep their key columns, numeric cells
+    empty. ``above_oracle`` is empty where it is None."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for row in rows:
-            if row.skipped:
-                writer.writerow([row.algorithm, row.M, row.Mk, row.M0, row.trials, "", "", ""])
-            else:
-                writer.writerow(
-                    [
-                        row.algorithm,
-                        row.M,
-                        row.Mk,
-                        row.M0,
-                        row.trials,
-                        repr(row.mean_wsu),
-                        repr(row.stderr_wsu),
-                        repr(row.mean_solve_seconds),
-                    ]
-                )
+            stats = [row.mean_wsu, row.stderr_wsu, row.mean_solve_seconds]
+            cells = ["" if row.skipped else repr(value) for value in stats]
+            above = "" if row.above_oracle is None else row.above_oracle
+            writer.writerow([row.algorithm, row.M, row.Mk, row.M0, row.trials, *cells, above])
 
 
 def write_metadata(config: SweepConfig, rows: Sequence[ResultRow], path) -> None:

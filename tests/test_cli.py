@@ -6,12 +6,12 @@ import json
 import numpy as np
 
 from caralloc import baselines
-from caralloc.baselines import _carrier_selection_lp
+from caralloc.baselines import OracleBudget, _carrier_selection_lp
 from caralloc.cli import build_parser, main
 from caralloc.core import BinaryAllocation, ProblemInstance
 from caralloc.lp import solve_lp
 from caralloc.sgpa import SgpaConfig, solve
-from caralloc.simharness import GenParams, SweepConfig, fig1_experiment, run_sweep
+from caralloc.simharness import fig1_experiment
 
 
 def run(capsys, *argv):
@@ -124,6 +124,7 @@ class TestSolve:
         defaults = SgpaConfig()
         for name in ("max_iterations", "snap_tolerance", "zero_tolerance", "convergence_tolerance"):
             assert getattr(args, name) == getattr(defaults, name)
+        assert args.budget == OracleBudget().max_enumerations
 
     def test_missing_instance_file(self, tmp_path, capsys):
         code, _, _ = run(capsys, "solve", "--instance", str(tmp_path / "nope.json"))
@@ -172,10 +173,35 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--config", str(config_path), "-o", str(out_path))
         assert code == 0
         lines = out_path.read_text().strip().splitlines()
-        assert lines[0] == "algorithm,M,Mk,M0,trials,mean_wsu,stderr_wsu,mean_solve_seconds"
+        assert lines[0] == (
+            "algorithm,M,Mk,M0,trials,mean_wsu,stderr_wsu,mean_solve_seconds,above_oracle"
+        )
         assert len(lines) == 3  # two algorithms, one grid point
         meta = json.loads((tmp_path / "rows.csv.meta.json").read_text())
         assert meta["base_seed"] == 3
+
+    def test_above_oracle_counts_trials_that_beat_the_oracle(self, tmp_path, capsys):
+        config = {
+            "algorithms": ["sgpa", "heuristic", "greedy", "oracle"],
+            "gen": {"K": 2, "M": 3, "N": 2, "ue_cc_cap": 1, "system_cc_cap_limit": 2},
+            "trials": 50,
+            "base_seed": 0,
+        }
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps(config))
+        out_path = tmp_path / "rows.csv"
+        code, _, err = run(capsys, "sweep", "--config", str(config_path), "-o", str(out_path))
+        assert code == 0, err
+        with open(out_path, newline="") as fh:
+            rows = {row["algorithm"]: row for row in csv.DictReader(fh)}
+        # Only greedy, which ignores the carrier caps, may beat the exact optimum.
+        assert rows["sgpa"]["above_oracle"] == "0"
+        assert rows["heuristic"]["above_oracle"] == "0"
+        assert int(rows["greedy"]["above_oracle"]) > 0
+        assert rows["oracle"]["above_oracle"] == ""
+        oracle_mean = float(rows["oracle"]["mean_wsu"])
+        for name in ("sgpa", "heuristic"):
+            assert 0.0 < float(rows[name]["mean_wsu"]) / oracle_mean <= 1.0
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "sweep.json"
@@ -209,6 +235,13 @@ class TestSweep:
             (no_trials, ["trials"]),
             ({**config, "gen": {"K": 2}}, ["M", "N", "ue_cc_cap", "system_cc_cap_limit"]),
             ({**config, "sgpa": 5}, ["sgpa", "JSON object"]),
+            ({**config, "oracle_budget": [5]}, ["oracle_budget"]),
+            ({**config, "oracle_budget": 5.0}, ["oracle_budget"]),
+            ({**config, "trials": "1"}, ["trials"]),
+            ({**config, "trials": True}, ["trials"]),
+            ({**config, "gen": {**gen, "K": "2"}}, ["K"]),
+            ({**config, "gen": {**gen, "ue_cc_cap": [1, 2]}}, ["ue_cc_cap"]),
+            ({**config, "sgpa": {"snap_tolerance": "tiny"}}, ["snap_tolerance"]),
         ):
             config_path = tmp_path / "sweep.json"
             config_path.write_text(json.dumps(broken))
@@ -243,37 +276,3 @@ class TestFig1Command:
             rows = list(csv.reader(fh))[1:]
         shares = np.array([[float(cell) for cell in row[1:]] for row in rows])
         np.testing.assert_array_equal(shares, fig1_experiment(4, 2, 1, 1))
-
-
-class TestOracleCompare:
-    def test_summary_fields(self, capsys):
-        code, out, _ = run(
-            capsys, "oracle-compare", "--trials", "5", "--seed", "2",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["dominance_ok"] is True
-        assert 0.0 <= doc["ratio_sgpa_oracle"] <= 1.0
-        assert 0.0 <= doc["ratio_heuristic_oracle"] <= 1.0
-
-    def test_budget_exceeded_exits_4(self, capsys):
-        code, out, err = run(capsys, "oracle-compare", "--trials", "2", "--budget", "3")
-        assert code == 4
-        assert out == ""
-        assert "budget" in err
-
-    def test_means_match_sweep(self, capsys):
-        code, out, _ = run(
-            capsys, "oracle-compare", "--trials", "4", "--seed", "9", "--K", "3",
-            "--M", "4", "--N", "2", "--Mk", "2", "--M0-limit", "3",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        config = SweepConfig(
-            algorithms=("sgpa", "heuristic", "oracle"),
-            gen=GenParams(K=3, M=4, N=2, ue_cc_cap=2, system_cc_cap_limit=3),
-            trials=4,
-            base_seed=9,
-        )
-        for row in run_sweep(config):
-            assert doc[f"mean_wsu_{row.algorithm}"] == row.mean_wsu

@@ -1,7 +1,9 @@
 """Instance generation, sweeps, and the isolated convergence experiment."""
 
 import json
+import re
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,10 +44,6 @@ class TestGenParams:
     def test_rejects_degenerate_snr_range(self):
         with pytest.raises(ValueError):
             small_params(snr_db_range=(5.0, 5.0))
-
-    def test_per_ue_cap_vector(self):
-        params = small_params(ue_cc_cap=[1, 2])
-        np.testing.assert_array_equal(params.caps_array(), [1, 2])
 
 
 class TestCapacityUtilities:
@@ -171,7 +169,9 @@ class TestRunSweep:
         csv_path = tmp_path / "rows.csv"
         write_results_csv(rows, csv_path)
         lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "algorithm,M,Mk,M0,trials,mean_wsu,stderr_wsu,mean_solve_seconds"
+        assert lines[0] == (
+            "algorithm,M,Mk,M0,trials,mean_wsu,stderr_wsu,mean_solve_seconds,above_oracle"
+        )
         assert len(lines) == 2
         meta_path = tmp_path / "rows.meta.json"
         write_metadata(config, rows, meta_path)
@@ -200,12 +200,22 @@ class TestRunSweep:
 
     def test_rejects_per_user_caps_that_differ(self):
         # The grid would run every trial at one cap and write it as Mk.
-        gen = small_params(K=3, ue_cc_cap=[1, 2, 3])
+        gen = asdict(small_params(K=3))
+        gen["ue_cc_cap"] = [1, 2, 3]
+        doc = {"algorithms": ["sgpa"], "gen": gen, "trials": 1, "base_seed": 0}
         with pytest.raises(ValueError, match="ue_cc_cap"):
-            SweepConfig(algorithms=("sgpa",), gen=gen, trials=1, base_seed=0)
-        equal = small_params(K=3, ue_cc_cap=[2, 2, 2])
-        config = SweepConfig(algorithms=("sgpa",), gen=equal, trials=1, base_seed=0)
+            SweepConfig.from_dict(doc)
+        doc["gen"]["ue_cc_cap"] = 2
+        config = SweepConfig.from_dict(doc)
         assert [p[2] for p in config.grid_points()] == [2]
+
+    def test_readme_sweep_configs_load(self):
+        # Every ```json block in README.md is a sweep config.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+        assert len(blocks) >= 3
+        for block in blocks:
+            SweepConfig.from_dict(json.loads(block))
 
 
 class TestFig1Experiment:
