@@ -45,37 +45,63 @@ class DimensionMismatchError(ValueError):
     """An allocation does not match the instance dimensions."""
 
 
-#: JSON name and accepted types for dataclass fields annotated ``int`` or ``float``.
-_JSON_NUMBERS = {"int": ("integer", (int,)), "float": ("number", (int, float))}
+#: JSON name and accepted Python types of each scalar annotation.
+_JSON_SCALARS = {"int": ("integer", (int,)), "float": ("number", (int, float)), "str": ("string", (str,))}
+
+
+def _json_mismatch(annotation: str, value) -> Optional[str]:
+    """The JSON type a field annotated ``annotation`` takes, when ``value``
+    is not of that type; None when it is, or when :func:`check_document`
+    leaves the annotation alone. ``int``, ``float`` and ``str`` take a JSON
+    integer, number or string (``true`` is none of them), ``list`` a JSON
+    array, and ``Tuple[...]`` a JSON array of the tuple's length whose items
+    all take the tuple's first item type (a tuple too, from Python callers);
+    ``Optional[...]`` also takes ``null``."""
+    if annotation.startswith("Optional["):
+        if value is None:
+            return None
+        annotation = annotation[len("Optional[") : -1]
+    if annotation in _JSON_SCALARS:
+        name, types = _JSON_SCALARS[annotation]
+        return None if isinstance(value, types) and not isinstance(value, bool) else f"JSON {name}"
+    if annotation == "list":
+        return None if isinstance(value, (list, tuple)) else "JSON array"
+    if not annotation.startswith("Tuple["):
+        return None
+    items = annotation[len("Tuple[") : -1].split(", ")
+    length = None if items[-1] == "..." else len(items)
+    expected = f"JSON array of {f'{length} ' if length else ''}{_JSON_SCALARS[items[0]][0]}s"
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        return expected
+    return expected if any(_json_mismatch(items[0], item) for item in value) else None
 
 
 def check_document(doc, spec, what: str) -> dict:
     """A copy of the parsed JSON ``doc``, after checking that it is an object
-    with no unknown key and every required one; ValueError naming the
-    culprits if not. ``spec`` is a tuple of keys, all required, or a
-    dataclass, whose fields without a default are required and whose fields
-    annotated ``int`` or ``float`` must hold a JSON number of that kind
-    (``true`` is not one)."""
+    with no unknown key, every required one, and the JSON type each field's
+    annotation asks for (see :func:`_json_mismatch`); ValueError naming the
+    culprit if not. ``spec`` is a dict of keys, all required, to annotations
+    spelled as a dataclass spells them, or a dataclass, whose fields without
+    a default are required."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
-    known = required = spec
-    numbers = {}
+    known = required = annotations = spec
     if is_dataclass(spec):
-        known = [f.name for f in fields(spec)]
+        annotations = {f.name: f.type for f in fields(spec)}
+        known = list(annotations)
         required = [
             f.name for f in fields(spec) if f.default is MISSING and f.default_factory is MISSING
         ]
-        numbers = {f.name: _JSON_NUMBERS[f.type] for f in fields(spec) if f.type in _JSON_NUMBERS}
     unknown = set(doc) - set(known)
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
     missing = [name for name in required if name not in doc]
     if missing:
         raise ValueError(f"missing {what} fields: {missing}")
-    for name, (json_name, types) in numbers.items():
-        value = doc.get(name, 0)
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(f"{what} field {name!r} must be a JSON {json_name}, not {value!r}")
+    for name, annotation in annotations.items():
+        expected = _json_mismatch(annotation, doc[name]) if name in doc else None
+        if expected:
+            raise ValueError(f"{what} field {name!r} must be a {expected}, not {doc[name]!r}")
     return dict(doc)
 
 
@@ -83,6 +109,12 @@ def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+#: The keys of an instance document and the JSON type of each.
+_INSTANCE_FIELDS = {
+    "K": "int", "M": "int", "N": "int", "weights": "list", "Mk": "list", "M0": "int", "phi": "list"
+}
 
 
 @dataclass(frozen=True)
@@ -159,15 +191,15 @@ class ProblemInstance:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ProblemInstance":
-        doc = check_document(doc, ("K", "M", "N", "weights", "Mk", "M0", "phi"), "instance")
+        doc = check_document(doc, _INSTANCE_FIELDS, "instance")
         return cls(
-            num_ues=int(doc["K"]),
-            num_ccs=int(doc["M"]),
-            num_rbs_per_cc=int(doc["N"]),
+            num_ues=doc["K"],
+            num_ccs=doc["M"],
+            num_rbs_per_cc=doc["N"],
             weights=doc["weights"],
             utilities=doc["phi"],
             ue_cc_caps=doc["Mk"],
-            system_cc_cap=int(doc["M0"]),
+            system_cc_cap=doc["M0"],
         )
 
     def to_json(self) -> str:

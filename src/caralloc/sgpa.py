@@ -8,7 +8,13 @@ entry at most 1). Iterating this update drives the shares toward 0/1 values;
 a final quantization step rounds whatever has not converged yet.
 
 The normalization multiplier is found exactly by a breakpoint scan over the
-sorted rates (no root-finding); see :func:`capped_simplex_normalize`.
+sorted rates (no root-finding). One scan, :func:`_normalize_rows`, serves
+every normalization: it takes a whole array of rows with one cap each, so a
+carrier-share update normalizes every user in one pass, and it skips the
+scan when every row has at most its cap of positive scores (they all
+saturate). Input is validated only at the public entry,
+:func:`capped_simplex_normalize`; the updates inside :func:`solve` call the
+scan directly.
 
 A carrier whose activation reaches exactly 0 stays switched off, and every
 share under it is 0 from then on. Once at least half of the carriers in its
@@ -110,15 +116,14 @@ def capped_simplex_normalize(v, cap: int) -> NormalizationSolution:
     """Scale nonnegative scores onto the capped simplex {0 <= x <= 1, sum = cap}.
 
     Finds kappa > 0 with ``sum_p min(1, v_p / kappa) = cap`` and returns
-    ``x_p = min(1, v_p / kappa)``; zero scores map to zero. When fewer than
+    ``x_p = min(1, v_p / kappa)``; zero scores map to zero. When at most
     ``cap`` scores are positive, no such kappa exists: the positive entries
     all saturate at 1 instead (kappa = smallest positive score) and the sum
     falls short of the cap.
 
-    The solve is exact, not iterative: with the positive scores sorted
-    descending, the number of saturated entries t is the unique value in
-    {0, ..., cap-1} for which kappa = (sum of scores below position t) /
-    (cap - t) lands between the scores at positions t and t+1. O(P log P).
+    This is the checked entry point: it validates ``v`` and ``cap`` once and
+    hands one row to the batched breakpoint scan the solver's updates call
+    directly (see :func:`_normalize_rows`).
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -130,34 +135,59 @@ def capped_simplex_normalize(v, cap: int) -> NormalizationSolution:
         raise ValueError(f"cap {cap} exceeds the number of entries {v.size}")
     if not np.all(np.isfinite(v)) or np.any(v < 0):
         raise ValueError("scores must be finite and nonnegative")
-
-    positive = v > 0
-    num_positive = int(positive.sum())
-    if num_positive == 0:
+    if not np.any(v > 0):
         raise ValueError("at least one score must be positive")
 
-    if num_positive <= cap:
-        kappa = float(v[positive].min())
-        x = np.where(positive, 1.0, 0.0)
-        return NormalizationSolution(kappa=kappa, x=x, saturated_count=num_positive)
+    x, kappa = _normalize_rows(v[None, :], np.array([cap]))
+    return NormalizationSolution(
+        kappa=float(kappa[0]), x=x[0], saturated_count=int(np.count_nonzero(x == 1.0))
+    )
 
-    vs = np.sort(v[positive])[::-1]
-    tail_sums = np.cumsum(vs[::-1])[::-1]  # tail_sums[t] = vs[t:].sum()
-    upper = np.inf
-    for t in range(cap):
-        kappa = tail_sums[t] / (cap - t)
-        # Exact arithmetic puts kappa in (vs[t], upper] at exactly one t. The
-        # relative slack admits float-degenerate boundaries (a tiny tail entry
-        # absorbed by the sum can land kappa exactly on vs[t]); neighbouring t
-        # values give the same x to within the slack there.
-        if kappa <= upper * (1.0 + 1e-12) and kappa >= vs[t] * (1.0 - 1e-12):
-            x = np.minimum(1.0, v / kappa)
-            x[~positive] = 0.0
-            return NormalizationSolution(
-                kappa=float(kappa), x=x, saturated_count=int((x == 1.0).sum())
-            )
-        upper = vs[t]
-    raise RuntimeError("no saturation level satisfied the breakpoint conditions")
+
+def _normalize_rows(v: np.ndarray, caps: np.ndarray) -> tuple:
+    """Capped-simplex normalization of every row of ``v`` (rows, P) at once,
+    row r onto sum ``caps[r]``: the arrays ``x`` (rows, P) and ``kappa``
+    (rows,), as :func:`capped_simplex_normalize` defines them per row.
+
+    Unchecked: every row must hold a positive score, and 1 <= caps <= P.
+
+    The solve is exact, not iterative. With a row's scores sorted
+    descending, the number of saturated entries t is the first value in
+    {0, ..., cap-1} for which kappa = (sum of scores from position t on) /
+    (cap - t) lands between the scores at positions t and t-1. Each row is
+    sorted ascending, so the zeros lead and add exactly 0.0 to the running
+    sums, which therefore carry the same bits as sums over the positive
+    scores alone. O(P log P) per row. When every row has at most ``cap``
+    positive scores, all of them saturate and no scan is needed.
+    """
+    positive = v > 0.0
+    counts = positive.sum(axis=1)
+    saturated = counts <= caps
+    if saturated.all():
+        return positive.astype(float), np.where(positive, v, np.inf).min(axis=1)
+
+    asc = np.sort(v, axis=1)
+    width = int(caps.max())
+    desc = asc[:, : -width - 1 : -1]  # the largest `width` scores, descending
+    tail = np.cumsum(asc, axis=1)[:, : -width - 1 : -1]  # tail[:, t] = sum of desc[t:]
+    steps = caps[:, None] - np.arange(width)  # cap - t; t >= cap is masked out
+    kappa = tail / np.maximum(steps, 1)
+    # Exact arithmetic puts kappa in [desc[t], desc[t-1]] at exactly one
+    # t < cap. The relative slack admits float-degenerate boundaries (a tiny
+    # tail entry absorbed by the sum can land kappa exactly on desc[t]);
+    # neighbouring t values give the same x to within the slack there.
+    fits = (kappa >= desc * (1.0 - 1e-12)) & (steps > 0)
+    fits[:, 1:] &= kappa[:, 1:] <= desc[:, :-1] * (1.0 + 1e-12)
+    if not (fits.any(axis=1) | saturated).all():
+        raise RuntimeError("no saturation level satisfied the breakpoint conditions")
+    kappa = kappa[np.arange(len(v)), fits.argmax(axis=1)]
+    if saturated.any():
+        # A row with at most cap positive scores takes its smallest positive
+        # score, so min(1, v / kappa) is exactly 1 on every positive entry.
+        kappa[saturated] = asc[saturated, v.shape[1] - counts[saturated]]
+    x = np.minimum(1.0, v / kappa[:, None])
+    x[~positive] = 0.0
+    return x, kappa
 
 
 def _sweep_scores(weights, utilities, alpha, beta, gamma) -> tuple:
@@ -191,21 +221,21 @@ def update_alpha(scores: np.ndarray, alpha: np.ndarray) -> np.ndarray:
 
 
 def update_beta(scores: np.ndarray, beta: np.ndarray, caps) -> np.ndarray:
-    """One carrier-share update per user: capped-simplex normalization of the
-    user's score row with its carrier cap ``caps[k]`` as the target sum. A
-    user whose scores are all zero keeps its previous row of ``beta``."""
+    """One carrier-share update for every user at once: capped-simplex
+    normalization of each user's score row with its carrier cap ``caps[k]``
+    as the target sum. A user whose scores are all zero keeps its previous
+    row of ``beta``."""
+    live = scores.max(axis=1) > 0.0
     out = beta.copy()
-    for k in range(len(out)):
-        if scores[k].max() > 0.0:
-            out[k] = capped_simplex_normalize(scores[k], int(caps[k])).x
+    out[live] = _normalize_rows(scores[live], np.asarray(caps)[live])[0]
     return out
 
 
 def update_gamma(scores: np.ndarray, cap: int) -> np.ndarray:
     """One activation update: capped-simplex normalization with the system cap."""
-    if not np.any(scores > 0.0):
+    if not scores.max() > 0.0:
         raise DegenerateInstanceError("all carrier rates are zero")
-    return capped_simplex_normalize(scores, cap).x
+    return _normalize_rows(scores[None, :], np.array([cap]))[0][0]
 
 
 @dataclass(frozen=True)

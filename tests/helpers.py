@@ -1,11 +1,13 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the implementation paths they check: the capped
-simplex multiplier is found by bisection on the saturation count, small
-LPs are solved by enumerating candidate vertices, the heuristic's
-carrier-selection LP has a reference formulation with explicit product
-variables, and the exhaustive oracle has a reference that walks every
-carrier set of every size.
+simplex multiplier is found by bisection on the saturation count, and the
+row-batched normalization is checked byte for byte against a scalar
+breakpoint scan that handles one score vector at a time; small LPs are
+solved by enumerating candidate vertices, the heuristic's carrier-selection
+LP has a reference formulation with explicit product variables, and the
+exhaustive oracle has a reference that walks every carrier set of every
+size.
 """
 
 import itertools
@@ -15,6 +17,7 @@ import numpy as np
 
 from caralloc.core import BinaryAllocation, ProblemInstance, block_winners, evaluate_wsu
 from caralloc.lp import LinearProgram
+from caralloc.sgpa import NormalizationSolution
 
 
 def bisect_capped_simplex_kappa(v, cap, iterations=200):
@@ -41,6 +44,55 @@ def bisect_capped_simplex_kappa(v, cap, iterations=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def reference_capped_simplex_normalize(v, cap: int) -> NormalizationSolution:
+    """Capped-simplex normalization of one score vector by a scalar scan.
+
+    With the positive scores sorted descending, the number of saturated
+    entries t is the first value in {0, ..., cap-1} for which kappa = (sum
+    of scores from position t on) / (cap - t) lands between the scores at
+    positions t and t-1, tried one t at a time. When at most ``cap`` scores
+    are positive, they all saturate (kappa = smallest positive score).
+    """
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("scores must be a nonempty 1-D array")
+    cap = int(cap)
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    if cap > v.size:
+        raise ValueError(f"cap {cap} exceeds the number of entries {v.size}")
+    if not np.all(np.isfinite(v)) or np.any(v < 0):
+        raise ValueError("scores must be finite and nonnegative")
+
+    positive = v > 0
+    num_positive = int(positive.sum())
+    if num_positive == 0:
+        raise ValueError("at least one score must be positive")
+
+    if num_positive <= cap:
+        kappa = float(v[positive].min())
+        x = np.where(positive, 1.0, 0.0)
+        return NormalizationSolution(kappa=kappa, x=x, saturated_count=num_positive)
+
+    vs = np.sort(v[positive])[::-1]
+    tail_sums = np.cumsum(vs[::-1])[::-1]  # tail_sums[t] = vs[t:].sum()
+    upper = np.inf
+    for t in range(cap):
+        kappa = tail_sums[t] / (cap - t)
+        # Exact arithmetic puts kappa in (vs[t], upper] at exactly one t. The
+        # relative slack admits float-degenerate boundaries (a tiny tail entry
+        # absorbed by the sum can land kappa exactly on vs[t]); neighbouring t
+        # values give the same x to within the slack there.
+        if kappa <= upper * (1.0 + 1e-12) and kappa >= vs[t] * (1.0 - 1e-12):
+            x = np.minimum(1.0, v / kappa)
+            x[~positive] = 0.0
+            return NormalizationSolution(
+                kappa=float(kappa), x=x, saturated_count=int((x == 1.0).sum())
+            )
+        upper = vs[t]
+    raise RuntimeError("no saturation level satisfied the breakpoint conditions")
 
 
 def enumerate_lp_optimum(objective, A, b, lower, upper):

@@ -137,6 +137,15 @@ class TestSolve:
         assert code == 2
         assert "JSON object" in err
 
+    def test_non_integer_dimension_fields_exit_2(self, tmp_path, capsys):
+        doc = json.loads(write_instance(tmp_path, capsys).read_text())
+        for name, value in (("M0", [2]), ("K", "2"), ("M0", 2.7)):
+            path = tmp_path / "broken.json"
+            path.write_text(json.dumps({**doc, name: value}))
+            code, _, err = run(capsys, "solve", "--instance", str(path))
+            assert code == 2
+            assert f"{name!r} must be a JSON integer" in err
+
     def test_trace_csv_written(self, tmp_path, capsys):
         path = write_instance(tmp_path, capsys)
         trace = tmp_path / "trace.csv"
@@ -242,6 +251,11 @@ class TestSweep:
             ({**config, "gen": {**gen, "K": "2"}}, ["K"]),
             ({**config, "gen": {**gen, "ue_cc_cap": [1, 2]}}, ["ue_cc_cap"]),
             ({**config, "sgpa": {"snap_tolerance": "tiny"}}, ["snap_tolerance"]),
+            ({**config, "m_grid": 3}, ["'m_grid' must be a JSON array of integers"]),
+            ({**config, "m_grid": [[3]]}, ["'m_grid' must be a JSON array of integers"]),
+            ({**config, "mk_grid": 3}, ["'mk_grid' must be a JSON array of integers"]),
+            ({**config, "gen": {**gen, "snr_db_range": 5}}, ["'snr_db_range' must be a JSON array"]),
+            ({**config, "gen": {**gen, "snr_db_range": [1]}}, ["'snr_db_range' must be a JSON array"]),
         ):
             config_path = tmp_path / "sweep.json"
             config_path.write_text(json.dumps(broken))
