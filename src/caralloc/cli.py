@@ -90,11 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", choices=["sgpa", "greedy", "heuristic", "oracle"], default="sgpa"
     )
     p_solve.add_argument("--max-iterations", type=int, default=SgpaConfig.max_iterations)
-    p_solve.add_argument("--snap-tolerance", type=float, default=SgpaConfig.snap_tolerance)
-    p_solve.add_argument("--zero-tolerance", type=float, default=SgpaConfig.zero_tolerance)
-    p_solve.add_argument(
-        "--convergence-tolerance", type=float, default=SgpaConfig.convergence_tolerance
-    )
     p_solve.add_argument("--trace", default=None, help="write per-iteration trace CSV here")
     p_solve.add_argument(
         "--budget", type=int, default=OracleBudget.max_enumerations, help="oracle enumeration budget"
@@ -134,13 +129,7 @@ def cmd_solve(args) -> int:
 
     report_extra = {}
     if args.algorithm == "sgpa":
-        config = SgpaConfig(
-            max_iterations=args.max_iterations,
-            snap_tolerance=args.snap_tolerance,
-            zero_tolerance=args.zero_tolerance,
-            convergence_tolerance=args.convergence_tolerance,
-            record_trace=args.trace is not None,
-        )
+        config = SgpaConfig(max_iterations=args.max_iterations, record_trace=args.trace is not None)
         result = solve(instance, config)
         allocation = result.binary
         wsu = result.wsu

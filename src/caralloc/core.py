@@ -37,7 +37,7 @@ __all__ = [
     "top_cap_indicator",
 ]
 
-#: Default lower clamp for strictly positive relaxed values.
+#: Lower clamp for strictly positive relaxed values.
 DEFAULT_FLOOR = 1e-12
 
 
@@ -46,24 +46,30 @@ class DimensionMismatchError(ValueError):
 
 
 #: JSON name and accepted Python types of each scalar annotation.
-_JSON_SCALARS = {"int": ("integer", (int,)), "float": ("number", (int, float)), "str": ("string", (str,))}
+_JSON_SCALARS = {
+    "int": ("integer", (int,)),
+    "float": ("number", (int, float)),
+    "str": ("string", (str,)),
+    "bool": ("boolean", (bool,)),
+}
 
 
 def _json_mismatch(annotation: str, value) -> Optional[str]:
     """The JSON type a field annotated ``annotation`` takes, when ``value``
     is not of that type; None when it is, or when :func:`check_document`
-    leaves the annotation alone. ``int``, ``float`` and ``str`` take a JSON
-    integer, number or string (``true`` is none of them), ``list`` a JSON
-    array, and ``Tuple[...]`` a JSON array of the tuple's length whose items
-    all take the tuple's first item type (a tuple too, from Python callers);
-    ``Optional[...]`` also takes ``null``."""
+    leaves the annotation alone. ``int``, ``float``, ``str`` and ``bool``
+    take a JSON integer, number, string or boolean (``true`` is only the
+    last), ``list`` a JSON array, and ``Tuple[...]`` a JSON array of the
+    tuple's length whose items all take the tuple's first item type (a tuple
+    too, from Python callers); ``Optional[...]`` also takes ``null``."""
     if annotation.startswith("Optional["):
         if value is None:
             return None
         annotation = annotation[len("Optional[") : -1]
     if annotation in _JSON_SCALARS:
         name, types = _JSON_SCALARS[annotation]
-        return None if isinstance(value, types) and not isinstance(value, bool) else f"JSON {name}"
+        typed = isinstance(value, types) and isinstance(value, bool) == (annotation == "bool")
+        return None if typed else f"JSON {name}"
     if annotation == "list":
         return None if isinstance(value, (list, tuple)) else "JSON array"
     if not annotation.startswith("Tuple["):
@@ -113,7 +119,8 @@ def _frozen_array(values, dtype) -> np.ndarray:
 
 #: The keys of an instance document and the JSON type of each.
 _INSTANCE_FIELDS = {
-    "K": "int", "M": "int", "N": "int", "weights": "list", "Mk": "list", "M0": "int", "phi": "list"
+    "K": "int", "M": "int", "N": "int", "weights": "Tuple[float, ...]", "Mk": "Tuple[int, ...]",
+    "M0": "int", "phi": "list",
 }
 
 
@@ -214,8 +221,8 @@ class ProblemInstance:
 class RelaxedAllocation:
     """Continuous-valued allocation iterate.
 
-    Values live in [0, 1]. Strictly positive entries below ``floor`` are
-    lifted to ``floor`` so near-underflow survivors are not silently lost;
+    Values live in [0, 1]. Strictly positive entries below ``DEFAULT_FLOOR``
+    are lifted to it so near-underflow survivors are not silently lost;
     exact zeros are kept as-is (they mark entries deliberately removed from
     play by the solver).
     """
@@ -223,7 +230,6 @@ class RelaxedAllocation:
     alpha: np.ndarray
     beta: np.ndarray
     gamma: np.ndarray
-    floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
         alpha = np.array(self.alpha, dtype=float)
@@ -236,16 +242,13 @@ class RelaxedAllocation:
             raise DimensionMismatchError(
                 f"inconsistent shapes: alpha {alpha.shape}, beta {beta.shape}, gamma {gamma.shape}"
             )
-        if not (self.floor > 0):
-            raise ValueError("floor must be positive")
         for name, arr in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
             if arr.size and (arr.min() < -1e-9 or arr.max() > 1 + 1e-9):
                 raise ValueError(f"{name} values must lie in [0, 1]")
             np.clip(arr, 0.0, 1.0, out=arr)
-            tiny = (arr > 0) & (arr < self.floor)
-            arr[tiny] = self.floor
+            arr[(arr > 0) & (arr < DEFAULT_FLOOR)] = DEFAULT_FLOOR
         self.alpha, self.beta, self.gamma = alpha, beta, gamma
 
     def dims(self) -> tuple:

@@ -5,7 +5,10 @@ attacked through a sequence of convexified subproblems, each of which has a
 closed-form optimum: every variable is rescaled by its current marginal rate
 and renormalized onto a capped simplex (sum fixed by the relevant cap, each
 entry at most 1). Iterating this update drives the shares toward 0/1 values;
-a final quantization step rounds whatever has not converged yet.
+a final quantization step rounds whatever has not converged yet. The start
+(each block spread evenly over its cap) and the thresholds (the constants
+``SNAP_TOLERANCE``, ``ZERO_TOLERANCE`` and ``CONVERGENCE_TOLERANCE``) are
+fixed; :class:`SgpaConfig` sets only the sweep budget and the trace.
 
 The normalization multiplier is found exactly by a breakpoint scan over the
 sorted rates (no root-finding). One scan, :func:`_normalize_rows`, serves
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -62,37 +65,29 @@ class DegenerateInstanceError(ValueError):
     """Raised when every rate feeding a required update is zero."""
 
 
+#: Values within this distance of 1 are snapped to exactly 1 after every
+#: sweep, emulating what finite precision would eventually do anyway.
+SNAP_TOLERANCE = 1e-9
+#: Values at or below this are snapped to exactly 0 after every sweep, which
+#: removes them from their active set for all later sweeps.
+ZERO_TOLERANCE = 1e-12
+#: The solve stops once no value changes by this much or more in one sweep.
+CONVERGENCE_TOLERANCE = 1e-10
+
+
 @dataclass
 class SgpaConfig:
-    """Solver knobs.
-
-    * ``snap_tolerance``: values within this distance of 1 are set to exactly
-      1, emulating what finite precision would eventually do anyway.
-    * ``zero_tolerance``: values at or below this are set to exactly 0 and
-      thereby removed from their active set for all later iterations.
-    * ``initialization``: "uniform" spreads each variable block evenly over
-      its cap (alpha = 1/K, beta row k = 1/M_k, gamma = 1/M0); alternatively
-      pass a RelaxedAllocation to start from.
-    """
+    """Solver settings: the sweep budget and whether to record a per-sweep
+    trace. The start (alpha = 1/K, beta row k = 1/M_k, gamma = 1/M0) and the
+    thresholds (the ``*_TOLERANCE`` constants) are fixed."""
 
     max_iterations: int = 20
-    snap_tolerance: float = 1e-9
-    zero_tolerance: float = 1e-12
-    convergence_tolerance: float = 1e-10
-    initialization: Union[str, RelaxedAllocation] = "uniform"
     record_trace: bool = False
 
     def __post_init__(self):
         if int(self.max_iterations) < 1:
             raise ValueError("max_iterations must be >= 1")
         self.max_iterations = int(self.max_iterations)
-        for name in ("snap_tolerance", "zero_tolerance", "convergence_tolerance"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive")
-        if self.snap_tolerance >= 0.5:
-            raise ValueError("snap_tolerance must be below 0.5")
-        if not isinstance(self.initialization, RelaxedAllocation) and self.initialization != "uniform":
-            raise ValueError('initialization must be "uniform" or a RelaxedAllocation')
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SgpaConfig":
@@ -170,14 +165,15 @@ def _normalize_rows(v: np.ndarray, caps: np.ndarray) -> tuple:
     width = int(caps.max())
     desc = asc[:, : -width - 1 : -1]  # the largest `width` scores, descending
     tail = np.cumsum(asc, axis=1)[:, : -width - 1 : -1]  # tail[:, t] = sum of desc[t:]
-    steps = caps[:, None] - np.arange(width)  # cap - t; t >= cap is masked out
-    kappa = tail / np.maximum(steps, 1)
+    kappa = tail / np.maximum(caps[:, None] - np.arange(width), 1)  # cap - t
     # Exact arithmetic puts kappa in [desc[t], desc[t-1]] at exactly one
     # t < cap. The relative slack admits float-degenerate boundaries (a tiny
     # tail entry absorbed by the sum can land kappa exactly on desc[t]);
-    # neighbouring t values give the same x to within the slack there.
-    fits = (kappa >= desc * (1.0 - 1e-12)) & (steps > 0)
-    fits[:, 1:] &= kappa[:, 1:] <= desc[:, :-1] * (1.0 + 1e-12)
+    # neighbouring t values give the same x to within the slack there. The
+    # first t passing the lower test alone is that one: the test holds at
+    # t = cap - 1 (kappa is the tail sum there), and failing it at t - 1
+    # puts kappa[t] below desc[t-1] by more than rounding (normal floats).
+    fits = kappa >= desc * (1.0 - 1e-12)
     if not (fits.any(axis=1) | saturated).all():
         raise RuntimeError("no saturation level satisfied the breakpoint conditions")
     kappa = kappa[np.arange(len(v)), fits.argmax(axis=1)]
@@ -275,10 +271,10 @@ class SgpaResult:
     trace: Optional[List[IterationRecord]] = None
 
 
-def _snap(arr: np.ndarray, snap_tol: float, zero_tol: float) -> np.ndarray:
+def _snap(arr: np.ndarray) -> np.ndarray:
     arr = arr.copy()
-    arr[arr >= 1.0 - snap_tol] = 1.0
-    arr[arr <= zero_tol] = 0.0
+    arr[arr >= 1.0 - SNAP_TOLERANCE] = 1.0
+    arr[arr <= ZERO_TOLERANCE] = 0.0
     return arr
 
 
@@ -293,11 +289,12 @@ def _uniform_initialization(instance: ProblemInstance) -> tuple:
 def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> SgpaResult:
     """Run the iterative solver and quantize the final iterate.
 
-    All three variable blocks are updated in parallel from the previous
-    iterate (pure Jacobi sweep). After each sweep, values within
-    ``snap_tolerance`` of 1 are snapped to 1 and values at or below
-    ``zero_tolerance`` are zeroed; iteration stops early once the largest
-    change across all variables falls below ``convergence_tolerance``.
+    The solve starts from the uniform spread of each variable block over
+    its cap. All three variable blocks are updated in parallel from the
+    previous iterate (pure Jacobi sweep). After each sweep, values within
+    ``SNAP_TOLERANCE`` of 1 are snapped to 1 and values at or below
+    ``ZERO_TOLERANCE`` are zeroed; iteration stops early once the largest
+    change across all variables falls below ``CONVERGENCE_TOLERANCE``.
 
     Once at least half of the carriers in the working arrays have zero
     activation, the arrays are cut down to the live carriers, and the
@@ -314,19 +311,10 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     """
     cfg = config if config is not None else SgpaConfig()
 
-    if isinstance(cfg.initialization, RelaxedAllocation):
-        init = cfg.initialization
-        if init.dims() != (instance.num_ues, instance.num_ccs, instance.num_rbs_per_cc):
-            raise ValueError("custom initialization does not match the instance dimensions")
-        previous = init.alpha, init.beta, init.gamma
-    else:
-        previous = _uniform_initialization(instance)
-    # The floor lifts start entries in (0, zero_tolerance); after every
-    # _snap the iterate already lies in {0} and (zero_tolerance, 1], so the
-    # sweeps run on plain arrays. Sweep 1's change is measured from the start
-    # as given.
-    start = RelaxedAllocation(*previous, floor=cfg.zero_tolerance)
-    alpha, beta, gamma = start.alpha, start.beta, start.gamma
+    # Every entry of the start lies far above ZERO_TOLERANCE, and after every
+    # _snap the iterate lies in {0} and (ZERO_TOLERANCE, 1], so the sweeps
+    # run on plain arrays.
+    alpha, beta, gamma = previous = _uniform_initialization(instance)
 
     trace: Optional[List[IterationRecord]] = [] if cfg.record_trace else None
     w = instance.weights
@@ -357,9 +345,9 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
             )
         del scores  # free the K*M*N block scores before _snap copies the shares
 
-        new_alpha = _snap(new_alpha, cfg.snap_tolerance, cfg.zero_tolerance)
-        new_beta = _snap(new_beta, cfg.snap_tolerance, cfg.zero_tolerance)
-        new_gamma = _snap(new_gamma, cfg.snap_tolerance, cfg.zero_tolerance)
+        new_alpha = _snap(new_alpha)
+        new_beta = _snap(new_beta)
+        new_gamma = _snap(new_gamma)
 
         # Active-set removal cascades: a carrier whose activation hit exact
         # zero can never recover (its rates are identically zero from here
@@ -397,7 +385,7 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
                 )
             )
 
-        if max_change < cfg.convergence_tolerance:
+        if max_change < CONVERGENCE_TOLERANCE:
             converged = True
             break
 
@@ -420,10 +408,7 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     # carrier's activation and shares are all exactly 0.
     active_carriers = int(np.count_nonzero(gamma))
     binary_distance = max(float(np.minimum(arr, 1.0 - arr).max()) for arr in (alpha, beta, gamma))
-    final = RelaxedAllocation(
-        *(_scatter(arr, live, num_ccs) for arr in (alpha, beta, gamma)),
-        floor=cfg.zero_tolerance,
-    )
+    final = RelaxedAllocation(*(_scatter(arr, live, num_ccs) for arr in (alpha, beta, gamma)))
     binary = quantize(instance, final)
     return SgpaResult(
         relaxed=final,

