@@ -36,10 +36,10 @@ from .sgpa import (
 )
 from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
 from .baselines import (
+    MAX_ENUMERATIONS,
     BudgetExceededError,
     GreedyResult,
     HeuristicResult,
-    OracleBudget,
     brute_force_oracle,
     greedy_unconstrained,
     heuristic_run,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .core import (
 from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
 
 __all__ = [
-    "OracleBudget",
+    "MAX_ENUMERATIONS",
     "BudgetExceededError",
     "GreedyResult",
     "greedy_unconstrained",
@@ -39,26 +39,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    """Hard cap on how many (activation set, carrier subsets) combinations
-    the exhaustive search may evaluate."""
-
-    max_enumerations: int = 10_000_000
-
-    def __post_init__(self):
-        if self.max_enumerations < 1:
-            raise ValueError("max_enumerations must be positive")
+#: Default cap on how many (activation set, carrier subsets) combinations
+#: the exhaustive search may evaluate.
+MAX_ENUMERATIONS = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):
-    def __init__(self, required: int, budget: OracleBudget):
-        super().__init__(
-            f"exhaustive search needs {required} enumerations, "
-            f"budget allows {budget.max_enumerations}"
-        )
+    """The exhaustive search needs ``required`` enumerations, more than
+    ``budget``; ``args`` is that pair, so the error pickles."""
+
+    def __init__(self, required: int, budget: int):
+        super().__init__(required, budget)
         self.required = required
         self.budget = budget
+
+    def __str__(self) -> str:
+        return f"exhaustive search needs {self.required} enumerations, budget allows {self.budget}"
 
 
 @dataclass(frozen=True)
@@ -174,7 +170,7 @@ def oracle_enumeration_count(num_ccs: int, caps, system_cap: int) -> int:
 
 
 def brute_force_oracle(
-    instance: ProblemInstance, budget: Optional[OracleBudget] = None
+    instance: ProblemInstance, budget: int = MAX_ENUMERATIONS
 ) -> Tuple[BinaryAllocation, float]:
     """Exact optimum by exhaustive enumeration of the maximal carrier sets.
 
@@ -189,14 +185,16 @@ def brute_force_oracle(
     a combination's value is a sum over one (M0, N) array of block maxima.
     The first combination with the largest value wins; the returned
     allocation keeps only the admissions and activations its blocks use.
-    Raises BudgetExceededError (with the required count) before doing any
-    work that would blow the budget.
+    Before any work, raises BudgetExceededError if the count of
+    :func:`oracle_enumeration_count` exceeds ``budget`` (ValueError if the
+    budget is below 1); a sweep skips its oracle rows on that error.
     """
-    budget = budget if budget is not None else OracleBudget()
+    if budget < 1:
+        raise ValueError(f"oracle budget must be >= 1, not {budget}")
     required = oracle_enumeration_count(
         instance.num_ccs, instance.ue_cc_caps, instance.system_cc_cap
     )
-    if required > budget.max_enumerations:
+    if required > budget:
         raise BudgetExceededError(required, budget)
 
     K, M, size = instance.num_ues, instance.num_ccs, instance.system_cc_cap

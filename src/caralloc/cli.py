@@ -17,8 +17,8 @@ import sys
 from dataclasses import replace
 
 from .baselines import (
+    MAX_ENUMERATIONS,
     BudgetExceededError,
-    OracleBudget,
     brute_force_oracle,
     greedy_unconstrained,
     heuristic_run,
@@ -90,9 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", choices=["sgpa", "greedy", "heuristic", "oracle"], default="sgpa"
     )
     p_solve.add_argument("--max-iterations", type=int, default=SgpaConfig.max_iterations)
-    p_solve.add_argument("--trace", default=None, help="write per-iteration trace CSV here")
+    p_solve.add_argument("--trace", default=None, help="write sgpa's per-iteration trace CSV here")
     p_solve.add_argument(
-        "--budget", type=int, default=OracleBudget.max_enumerations, help="oracle enumeration budget"
+        "--budget", type=int, default=MAX_ENUMERATIONS, help="oracle enumeration budget"
     )
     p_solve.add_argument("--allocation-out", default=None, help="write the allocation JSON here")
 
@@ -124,6 +124,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.trace is not None and args.algorithm != "sgpa":
+        raise ValueError(f"--trace needs --algorithm sgpa, not {args.algorithm}")
     with open(args.instance) as fh:
         instance = ProblemInstance.from_json(fh.read())
 
@@ -155,7 +157,7 @@ def cmd_solve(args) -> int:
             "lp_bound_flips": heuristic.lp.bound_flips,
         }
     else:
-        allocation, wsu = brute_force_oracle(instance, OracleBudget(args.budget))
+        allocation, wsu = brute_force_oracle(instance, args.budget)
 
     feasibility = check_feasibility(instance, allocation)
     doc = {"algorithm": args.algorithm, "wsu": wsu, **feasibility.to_dict(), **report_extra}

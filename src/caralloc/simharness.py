@@ -20,11 +20,11 @@ import numpy as np
 
 from . import __version__
 from .baselines import (
-    OracleBudget,
+    MAX_ENUMERATIONS,
+    BudgetExceededError,
     brute_force_oracle,
     greedy_unconstrained,
     heuristic_solve,
-    oracle_enumeration_count,
 )
 from .core import ProblemInstance, check_document, evaluate_wsu
 from .sgpa import SgpaConfig, _snap, capped_simplex_normalize, solve
@@ -172,7 +172,7 @@ class SweepConfig:
     m_grid: Optional[Tuple[int, ...]] = None
     mk_grid: Optional[Tuple[int, ...]] = None
     sgpa: SgpaConfig = field(default_factory=SgpaConfig)
-    oracle_budget: OracleBudget = field(default_factory=OracleBudget)
+    oracle_budget: int = MAX_ENUMERATIONS
     jobs: int = 1
 
     def __post_init__(self):
@@ -180,6 +180,8 @@ class SweepConfig:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.oracle_budget < 1:
+            raise ValueError("oracle_budget must be >= 1")
         for name in self.algorithms:
             if name not in SWEEP_ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}; pick from {tuple(SWEEP_ALGORITHMS)}")
@@ -197,19 +199,22 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
+        """The config of a parsed JSON document; like a malformed field, one
+        that the sweep overrides or whose output it drops is a ValueError."""
         doc = check_document(doc, cls, "sweep config")
         doc["algorithms"] = tuple(doc["algorithms"])
-        doc["gen"] = GenParams.from_dict(doc["gen"])
+        gen, doc["gen"] = doc["gen"], GenParams.from_dict(doc["gen"])
+        for name in ("seed", "stream_key"):
+            if name in gen:
+                raise ValueError(f"sweep config field 'gen.{name}' is set by the sweep")
         if doc.get("m_grid") is not None:
             doc["m_grid"] = tuple(doc["m_grid"])
         if doc.get("mk_grid") is not None:
             doc["mk_grid"] = tuple(doc["mk_grid"])
         if "sgpa" in doc:
             doc["sgpa"] = SgpaConfig.from_dict(doc["sgpa"])
-        if "oracle_budget" in doc:
-            budget = {"max_enumerations": doc["oracle_budget"]}
-            budget = check_document(budget, OracleBudget, "oracle_budget")
-            doc["oracle_budget"] = OracleBudget(**budget)
+            if doc["sgpa"].record_trace:
+                raise ValueError("sweep config field 'sgpa.record_trace' must be false")
         return cls(**doc)
 
     @classmethod
@@ -234,7 +239,8 @@ class ResultRow:
 
 
 def _run_trial(args) -> dict:
-    """One grid trial: sample the instance once, run every algorithm on it."""
+    """One grid trial: sample the instance once, run every algorithm on it.
+    Each maps to (wsu, seconds), or to a skip reason when the oracle's budget refuses."""
     config, grid_index, m, mk, trial_index = args
     params = replace(
         config.gen,
@@ -247,7 +253,11 @@ def _run_trial(args) -> dict:
     out = {}
     for algorithm in config.algorithms:
         start = time.perf_counter()
-        wsu = SWEEP_ALGORITHMS[algorithm](instance, config)
+        try:
+            wsu = SWEEP_ALGORITHMS[algorithm](instance, config)
+        except BudgetExceededError as exc:
+            out[algorithm] = f"needs {exc.required} enumerations, budget {exc.budget}"
+            continue
         out[algorithm] = (wsu, time.perf_counter() - start)
     return out
 
@@ -255,49 +265,21 @@ def _run_trial(args) -> dict:
 def run_sweep(config: SweepConfig) -> List[ResultRow]:
     """Run the sweep and aggregate one row per (grid point, algorithm).
 
-    Deterministic apart from the timing column. A grid point whose exhaustive
-    search would exceed the budget gets its oracle row marked skipped (the
-    other algorithms still run). Where the oracle ran, every other row counts
-    in ``above_oracle`` the trials whose WSU beats the oracle's by more than
-    1e-9. With ``jobs > 1`` the trials of every grid point share one process
-    pool.
+    Deterministic apart from the timing column. Every trial runs every
+    algorithm; where :func:`~caralloc.baselines.brute_force_oracle` refuses a
+    grid point's instances for the budget (its enumeration count depends
+    only on M, Mk and M0, so it refuses all of them or none), the point's
+    oracle row is marked skipped and comes after its other rows. Where the
+    oracle ran, every other row counts in ``above_oracle`` the trials whose
+    WSU beats the oracle's by more than 1e-9. With ``jobs > 1`` the trials
+    of every grid point share one process pool.
     """
-    points = []
-    tasks = []
-    for grid_index, m, mk in config.grid_points():
-        caps = np.full(config.gen.K, mk)
-        m0 = min(m, config.gen.system_cc_cap_limit)
-
-        algorithms = list(config.algorithms)
-        skipped_rows = []
-        if "oracle" in algorithms:
-            required = oracle_enumeration_count(m, caps, m0)
-            if required > config.oracle_budget.max_enumerations:
-                algorithms.remove("oracle")
-                skipped_rows.append(
-                    ResultRow(
-                        algorithm="oracle",
-                        M=m,
-                        Mk=mk,
-                        M0=m0,
-                        trials=0,
-                        mean_wsu=float("nan"),
-                        stderr_wsu=float("nan"),
-                        mean_solve_seconds=float("nan"),
-                        skipped=True,
-                        skip_reason=(
-                            f"needs {required} enumerations, budget "
-                            f"{config.oracle_budget.max_enumerations}"
-                        ),
-                    )
-                )
-
-        points.append((m, mk, m0, algorithms, skipped_rows))
-        trial_config = replace(config, algorithms=tuple(algorithms))
-        tasks.extend(
-            (trial_config, grid_index, m, mk, trial_index)
-            for trial_index in range(config.trials)
-        )
+    points = config.grid_points()
+    tasks = [
+        (config, grid_index, m, mk, trial_index)
+        for grid_index, m, mk in points
+        for trial_index in range(config.trials)
+    ]
 
     if config.jobs > 1:
         # One trial per task: trial cost grows along the grid, so larger
@@ -308,10 +290,14 @@ def run_sweep(config: SweepConfig) -> List[ResultRow]:
         results = [_run_trial(task) for task in tasks]
 
     rows: List[ResultRow] = []
-    for point_index, (m, mk, m0, algorithms, skipped_rows) in enumerate(points):
-        trial_results = results[point_index * config.trials : (point_index + 1) * config.trials]
-        wsus = {name: np.array([res[name][0] for res in trial_results]) for name in algorithms}
-        for algorithm in algorithms:
+    for grid_index, m, mk in points:
+        m0 = min(m, config.gen.system_cc_cap_limit)
+        trial_results = results[grid_index * config.trials : (grid_index + 1) * config.trials]
+        first = trial_results[0]
+        skips = {name: first[name] for name in config.algorithms if isinstance(first[name], str)}
+        ran = [name for name in config.algorithms if name not in skips]
+        wsus = {name: np.array([res[name][0] for res in trial_results]) for name in ran}
+        for algorithm in ran:
             times = np.array([res[algorithm][1] for res in trial_results])
             wsu = wsus[algorithm]
             stderr = float(wsu.std(ddof=1) / np.sqrt(len(wsu))) if len(wsu) > 1 else 0.0
@@ -331,7 +317,9 @@ def run_sweep(config: SweepConfig) -> List[ResultRow]:
                     above_oracle=above,
                 )
             )
-        rows.extend(skipped_rows)
+        nan = float("nan")
+        rows.extend(ResultRow(name, m, mk, m0, 0, nan, nan, nan, skipped=True, skip_reason=reason)
+                    for name, reason in skips.items())
     return rows
 
 

@@ -1,11 +1,12 @@
 """Greedy, LP-rounding heuristic, and the exhaustive-search oracle."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from caralloc.baselines import (
     BudgetExceededError,
-    OracleBudget,
     brute_force_oracle,
     greedy_unconstrained,
     heuristic_solve,
@@ -134,8 +135,14 @@ class TestOracle:
             GenParams(K=4, M=6, N=2, ue_cc_cap=3, system_cc_cap_limit=6, seed=0)
         )
         with pytest.raises(BudgetExceededError) as err:
-            brute_force_oracle(inst, OracleBudget(max_enumerations=10))
+            brute_force_oracle(inst, 10)
         assert err.value.required == oracle_enumeration_count(6, [3] * 4, 6)
+
+    def test_budget_error_survives_pickling(self):
+        error = BudgetExceededError(120, 10)
+        copy = pickle.loads(pickle.dumps(error))
+        assert (copy.required, copy.budget) == (120, 10)
+        assert str(copy) == str(error) == "exhaustive search needs 120 enumerations, budget allows 10"
 
     def test_monotone_in_caps(self):
         for seed in range(10):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 
 from caralloc import baselines
-from caralloc.baselines import OracleBudget, _carrier_selection_lp
+from caralloc.baselines import MAX_ENUMERATIONS, _carrier_selection_lp
 from caralloc.cli import build_parser, main
 from caralloc.core import BinaryAllocation, ProblemInstance
 from caralloc.lp import solve_lp
@@ -119,10 +119,29 @@ class TestSolve:
         assert code == 4
         assert "budget" in err
 
+    def test_zero_budget_exits_2(self, tmp_path, capsys):
+        path = write_instance(tmp_path, capsys)
+        code, _, err = run(
+            capsys, "solve", "--instance", str(path), "--algorithm", "oracle", "--budget", "0"
+        )
+        assert code == 2
+        assert "budget" in err
+
+    def test_trace_with_another_algorithm_exits_2(self, tmp_path, capsys):
+        path = write_instance(tmp_path, capsys)
+        trace = tmp_path / "trace.csv"
+        code, _, err = run(
+            capsys, "solve", "--instance", str(path), "--algorithm", "heuristic",
+            "--trace", str(trace),
+        )
+        assert code == 2
+        assert "--trace" in err
+        assert not trace.exists()
+
     def test_solver_flag_defaults_are_the_config_defaults(self):
         args = build_parser().parse_args(["solve", "--instance", "inst.json"])
         assert args.max_iterations == SgpaConfig().max_iterations
-        assert args.budget == OracleBudget().max_enumerations
+        assert args.budget == MAX_ENUMERATIONS
 
     def test_missing_instance_file(self, tmp_path, capsys):
         code, _, _ = run(capsys, "solve", "--instance", str(tmp_path / "nope.json"))
@@ -158,6 +177,21 @@ class TestSolve:
             code, _, err = run(capsys, "solve", "--instance", str(path))
             assert code == 2
             assert f"{name!r} must be a {expected}" in err
+
+    def test_non_number_utility_items_exit_2(self, tmp_path, capsys):
+        doc = json.loads(write_instance(tmp_path, capsys).read_text())
+        for leaf in (True, "2.5", None, [1.0]):
+            phi = json.loads(json.dumps(doc["phi"]))
+            phi[1][2][0] = leaf
+            path = tmp_path / "broken.json"
+            path.write_text(json.dumps({**doc, "phi": phi}))
+            code, _, err = run(capsys, "solve", "--instance", str(path))
+            assert code == 2
+            assert "'phi' must hold only JSON numbers" in err
+        # JSON integers are numbers too.
+        path.write_text(json.dumps({**doc, "phi": [[[1, 0]] * 3] * 2}))
+        code, _, err = run(capsys, "solve", "--instance", str(path))
+        assert code == 0, err
 
     def test_trace_csv_written(self, tmp_path, capsys):
         path = write_instance(tmp_path, capsys)
@@ -270,6 +304,11 @@ class TestSweep:
             ({**config, "mk_grid": 3}, ["'mk_grid' must be a JSON array of integers"]),
             ({**config, "gen": {**gen, "snr_db_range": 5}}, ["'snr_db_range' must be a JSON array"]),
             ({**config, "gen": {**gen, "snr_db_range": [1]}}, ["'snr_db_range' must be a JSON array"]),
+            ({**config, "gen": {**gen, "seed": 1}}, ["'gen.seed'"]),
+            ({**config, "gen": {**gen, "seed": 999, "stream_key": [7, 7]}}, ["'gen.seed'"]),
+            ({**config, "gen": {**gen, "stream_key": [7, 7]}}, ["'gen.stream_key'"]),
+            ({**config, "sgpa": {"record_trace": True}}, ["'sgpa.record_trace'"]),
+            ({**config, "oracle_budget": 0}, ["oracle_budget"]),
         ):
             config_path = tmp_path / "sweep.json"
             config_path.write_text(json.dumps(broken))

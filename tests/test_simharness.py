@@ -146,20 +146,45 @@ class TestRunSweep:
         assert untimed(sequential) == untimed(parallel)
 
     def test_oracle_budget_marks_row_skipped(self):
-        from caralloc.baselines import OracleBudget
-
         config = SweepConfig(
             algorithms=("sgpa", "oracle"),
             gen=small_params(),
             trials=2,
             base_seed=1,
-            oracle_budget=OracleBudget(max_enumerations=5),
+            oracle_budget=5,
         )
         rows = run_sweep(config)
         oracle_rows = [r for r in rows if r.algorithm == "oracle"]
         assert len(oracle_rows) == 1 and oracle_rows[0].skipped
         assert "budget" in oracle_rows[0].skip_reason
         assert any(r.algorithm == "sgpa" and not r.skipped for r in rows)
+
+    def test_skipped_oracle_rows_match_across_jobs(self):
+        # M=3 needs 12 enumerations and M=5 needs 40, so only M=5 skips.
+        config = SweepConfig(
+            algorithms=("oracle", "sgpa", "greedy"),
+            gen=small_params(),
+            trials=3,
+            base_seed=2,
+            m_grid=(3, 5),
+            mk_grid=(1,),
+            oracle_budget=20,
+        )
+        sequential = run_sweep(config)
+        parallel = run_sweep(SweepConfig(**{**config.__dict__, "jobs": 2}))
+
+        def untimed(rows):  # repr, since the skipped row's NaN != NaN
+            return [repr({**asdict(row), "mean_solve_seconds": None}) for row in rows]
+
+        assert untimed(sequential) == untimed(parallel)
+        assert [(r.algorithm, r.M, r.skipped) for r in sequential] == [
+            ("oracle", 3, False), ("sgpa", 3, False), ("greedy", 3, False),
+            ("sgpa", 5, False), ("greedy", 5, False), ("oracle", 5, True),
+        ]
+        skipped = sequential[-1]
+        assert skipped.skip_reason == "needs 40 enumerations, budget 20"
+        assert skipped.trials == 0 and np.isnan(skipped.mean_wsu)
+        assert [r.above_oracle for r in sequential[3:5]] == [None, None]
 
     def test_csv_and_metadata(self, tmp_path):
         config = SweepConfig(
@@ -200,7 +225,7 @@ class TestRunSweep:
 
     def test_rejects_per_user_caps_that_differ(self):
         # The grid would run every trial at one cap and write it as Mk.
-        gen = asdict(small_params(K=3))
+        gen = {k: v for k, v in asdict(small_params(K=3)).items() if k not in ("seed", "stream_key")}
         gen["ue_cc_cap"] = [1, 2, 3]
         doc = {"algorithms": ["sgpa"], "gen": gen, "trials": 1, "base_seed": 0}
         with pytest.raises(ValueError, match="ue_cc_cap"):
