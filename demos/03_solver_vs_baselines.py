@@ -36,9 +36,8 @@ for seed in range(TRIALS):
             solver.wsu,
             heuristic_wsu,
             oracle_wsu,
-            evaluate_wsu(instance, greedy.allocation),
-            greedy.within_caps,
-            check_feasibility(instance, greedy.allocation).ok,
+            evaluate_wsu(instance, greedy),
+            check_feasibility(instance, greedy).ok,
         )
     )
 
@@ -55,6 +54,6 @@ print(f"mean utility  optimum   : {oracle_mean:.4f}")
 exact = sum(1 for r in rows if abs(r[0] - r[2]) < 1e-9)
 print(f"\nsolver hits the exact optimum in {exact}/{TRIALS} trials")
 
-greedy_feasible = sum(1 for r in rows if r[5])
+greedy_feasible = sum(1 for r in rows if r[4])
 print(f"cap-ignoring greedy is feasible in {greedy_feasible}/{TRIALS} trials "
       f"(it only respects caps by luck here)")

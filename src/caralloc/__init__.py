@@ -38,7 +38,6 @@ from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
 from .baselines import (
     MAX_ENUMERATIONS,
     BudgetExceededError,
-    GreedyResult,
     HeuristicResult,
     brute_force_oracle,
     greedy_unconstrained,

@@ -5,6 +5,9 @@
 * an exhaustive search over the maximal carrier activations and per-user
   carrier subsets (no smaller set can do better, since utilities are
   nonnegative), exact on small instances and used as a test oracle.
+
+Each returns a ``BinaryAllocation`` (the oracle with its WSU);
+:data:`caralloc.simharness.ALGORITHMS` adds the WSU and the run facts.
 """
 
 from __future__ import annotations
@@ -20,16 +23,14 @@ from .core import (
     BinaryAllocation,
     ProblemInstance,
     block_winners,
-    check_feasibility,
     evaluate_wsu,
     round_allocation,
 )
-from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
+from .lp import LinearProgram, LpSolution, solve_lp
 
 __all__ = [
     "MAX_ENUMERATIONS",
     "BudgetExceededError",
-    "GreedyResult",
     "greedy_unconstrained",
     "HeuristicResult",
     "heuristic_run",
@@ -57,14 +58,6 @@ class BudgetExceededError(RuntimeError):
         return f"exhaustive search needs {self.required} enumerations, budget allows {self.budget}"
 
 
-@dataclass(frozen=True)
-class GreedyResult:
-    """Greedy output plus whether it happened to respect both carrier caps."""
-
-    allocation: BinaryAllocation
-    within_caps: bool
-
-
 def _used_allocation(alpha: np.ndarray) -> BinaryAllocation:
     """The allocation of block assignment ``alpha`` that admits each user only
     to the carriers where it holds a block and activates only the carriers
@@ -74,19 +67,18 @@ def _used_allocation(alpha: np.ndarray) -> BinaryAllocation:
     return BinaryAllocation(alpha, beta, gamma)
 
 
-def greedy_unconstrained(instance: ProblemInstance) -> GreedyResult:
+def greedy_unconstrained(instance: ProblemInstance) -> BinaryAllocation:
     """Winner-takes-all per resource block.
 
     Every block goes to the user with the largest weighted utility on it
     (ties to the lowest user index); carrier admissions and activations are
     derived as indicators of what got used. Carrier caps are ignored, which
-    is optimal exactly when they are slack; ``within_caps`` reports whether
-    the output respects them anyway.
+    is optimal exactly when they are slack; the output may break them, which
+    :func:`~caralloc.core.check_feasibility` reports as its C2 and C3
+    verdicts.
     """
     everyone = np.ones((instance.num_ues, instance.num_ccs), dtype=np.int8)
-    allocation = _used_allocation(block_winners(instance.weighted_utilities, everyone, everyone[0]))
-    report = check_feasibility(instance, allocation)
-    return GreedyResult(allocation, report.c2_ok and report.c3_ok)
+    return _used_allocation(block_winners(instance.weighted_utilities, everyone, everyone[0]))
 
 
 def _carrier_selection_lp(instance: ProblemInstance) -> LinearProgram:
@@ -146,9 +138,6 @@ def heuristic_run(instance: ProblemInstance) -> HeuristicResult:
     """
     K, M = instance.num_ues, instance.num_ccs
     sol = solve_lp(_carrier_selection_lp(instance))
-    if sol.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"carrier-selection LP came back {sol.status.value}")
-
     km = K * M
     allocation = round_allocation(
         instance, instance.weighted_utilities, sol.x[:km].reshape(K, M), sol.x[km:]

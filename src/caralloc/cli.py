@@ -1,11 +1,13 @@
 """Command-line interface.
 
-Subcommands: gen, solve, sweep, fig1. Comparing algorithms against the
-exhaustive oracle is a sweep with "oracle" among its algorithms. Structured
-output is JSON on stdout, tabular output is CSV files. Exit codes: 0 on
-success, 2 for usage/config/file problems, 3 when an algorithm emitted an
-allocation that fails its own feasibility guarantee, 4 when the exhaustive
-search budget is exceeded.
+Subcommands: gen, solve, sweep, fig1. ``solve`` and ``sweep`` run every
+algorithm through :data:`caralloc.simharness.ALGORITHMS`, and ``solve``
+prints the run's facts. Comparing algorithms against the exhaustive oracle
+is a sweep with "oracle" among its algorithms. Structured output is JSON on
+stdout, tabular output is CSV files. Exit codes: 0 on success, 2 for
+usage/config/file problems, 3 when an algorithm emitted an allocation that
+fails its own feasibility guarantee, 4 when the exhaustive search budget is
+exceeded.
 """
 
 from __future__ import annotations
@@ -16,16 +18,11 @@ import json
 import sys
 from dataclasses import replace
 
-from .baselines import (
-    MAX_ENUMERATIONS,
-    BudgetExceededError,
-    brute_force_oracle,
-    greedy_unconstrained,
-    heuristic_run,
-)
-from .core import ProblemInstance, check_feasibility, evaluate_wsu
-from .sgpa import SgpaConfig, solve, write_trace_csv
+from .baselines import MAX_ENUMERATIONS, BudgetExceededError
+from .core import ProblemInstance, check_feasibility
+from .sgpa import SgpaConfig, write_trace_csv
 from .simharness import (
+    ALGORITHMS,
     GenParams,
     SweepConfig,
     fig1_experiment,
@@ -86,9 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve an instance file with one algorithm")
     p_solve.add_argument("--instance", required=True, help="instance JSON path")
-    p_solve.add_argument(
-        "--algorithm", choices=["sgpa", "greedy", "heuristic", "oracle"], default="sgpa"
-    )
+    p_solve.add_argument("--algorithm", choices=list(ALGORITHMS), default="sgpa")
     p_solve.add_argument("--max-iterations", type=int, default=SgpaConfig.max_iterations)
     p_solve.add_argument("--trace", default=None, help="write sgpa's per-iteration trace CSV here")
     p_solve.add_argument(
@@ -124,52 +119,33 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.trace is not None and args.algorithm != "sgpa":
-        raise ValueError(f"--trace needs --algorithm sgpa, not {args.algorithm}")
+    # Every flag is checked, whichever algorithm reads it.
+    config = SgpaConfig(max_iterations=args.max_iterations, record_trace=args.trace is not None)
+    if args.budget < 1:
+        raise ValueError(f"oracle budget must be >= 1, not {args.budget}")
     with open(args.instance) as fh:
         instance = ProblemInstance.from_json(fh.read())
 
-    report_extra = {}
-    if args.algorithm == "sgpa":
-        config = SgpaConfig(max_iterations=args.max_iterations, record_trace=args.trace is not None)
-        result = solve(instance, config)
-        allocation = result.binary
-        wsu = result.wsu
-        report_extra = {
-            "iterations_run": result.iterations_run,
-            "converged": result.converged,
-            "active_carriers": result.active_carriers,
-            "binary_distance": result.binary_distance,
-        }
-        if args.trace is not None:
-            write_trace_csv(result, args.trace)
-    elif args.algorithm == "greedy":
-        greedy = greedy_unconstrained(instance)
-        allocation = greedy.allocation
-        wsu = evaluate_wsu(instance, allocation)
-        report_extra = {"within_caps": greedy.within_caps}
-    elif args.algorithm == "heuristic":
-        heuristic = heuristic_run(instance)
-        allocation = heuristic.allocation
-        wsu = evaluate_wsu(instance, allocation)
-        report_extra = {
-            "lp_pivots": heuristic.lp.pivots,
-            "lp_bound_flips": heuristic.lp.bound_flips,
-        }
-    else:
-        allocation, wsu = brute_force_oracle(instance, args.budget)
-
-    feasibility = check_feasibility(instance, allocation)
-    doc = {"algorithm": args.algorithm, "wsu": wsu, **feasibility.to_dict(), **report_extra}
+    run = ALGORITHMS[args.algorithm](instance, config, args.budget)
+    if args.trace is not None:
+        if run.trace is None:
+            raise ValueError(f"--trace: algorithm {args.algorithm} records no trace")
+        write_trace_csv(run, args.trace)
+    feasibility = check_feasibility(instance, run.allocation)
+    doc = {"algorithm": args.algorithm, "wsu": run.wsu, **feasibility.to_dict(), **run.facts}
+    # Greedy deliberately ignores the carrier caps, so it reports whether its
+    # output respects them, and an infeasible greedy result is not an
+    # internal error.
+    greedy = args.algorithm == "greedy"
+    if greedy:
+        doc["within_caps"] = feasibility.c2_ok and feasibility.c3_ok
     print(json.dumps(doc))
 
     if args.allocation_out is not None:
         with open(args.allocation_out, "w") as fh:
-            fh.write(allocation.to_json())
+            fh.write(run.allocation.to_json())
 
-    # Greedy deliberately ignores the carrier caps, so an infeasible greedy
-    # result is reported, not treated as an internal error.
-    if not feasibility.ok and args.algorithm != "greedy":
+    if not feasibility.ok and not greedy:
         return EXIT_INVARIANT
     return EXIT_OK
 

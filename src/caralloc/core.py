@@ -37,10 +37,6 @@ __all__ = [
     "top_cap_indicator",
 ]
 
-#: Lower clamp for strictly positive relaxed values.
-DEFAULT_FLOOR = 1e-12
-
-
 class DimensionMismatchError(ValueError):
     """An allocation does not match the instance dimensions."""
 
@@ -226,10 +222,8 @@ class ProblemInstance:
 class RelaxedAllocation:
     """Continuous-valued allocation iterate.
 
-    Values live in [0, 1]. Strictly positive entries below ``DEFAULT_FLOOR``
-    are lifted to it so near-underflow survivors are not silently lost;
-    exact zeros are kept as-is (they mark entries deliberately removed from
-    play by the solver).
+    Values live in [0, 1]. Exact zeros mark entries the solver removed from
+    play.
     """
 
     alpha: np.ndarray
@@ -253,7 +247,6 @@ class RelaxedAllocation:
             if arr.size and (arr.min() < -1e-9 or arr.max() > 1 + 1e-9):
                 raise ValueError(f"{name} values must lie in [0, 1]")
             np.clip(arr, 0.0, 1.0, out=arr)
-            arr[(arr > 0) & (arr < DEFAULT_FLOOR)] = DEFAULT_FLOOR
         self.alpha, self.beta, self.gamma = alpha, beta, gamma
 
     def dims(self) -> tuple:

@@ -9,8 +9,10 @@ pricing can cycle on a degenerate vertex, so after ``_DEGENERATE_LIMIT``
 degenerate pivots in a row the entering column is Bland's smallest improving
 index instead, until a step moves the objective. The leaving row is always
 Bland's (smallest basic index among the blocking rows); with both Bland
-choices the simplex cannot cycle, so every run terminates. All choices are
-value- and index-based, so repeated runs on the same input pivot identically.
+choices the simplex cannot cycle, so every run terminates. It terminates at
+an optimum: every structural variable is boxed and the slacks carry no
+objective, so the objective is bounded. All choices are value- and
+index-based, so repeated runs on the same input pivot identically.
 
 Intended for the small problems produced in this package (a few thousand
 variables at most). The tableau is stored dense, but a pivot rewrites only
@@ -37,8 +39,9 @@ _DEGENERATE_LIMIT = 50  # degenerate pivots in a row before Bland's rule enters
 
 
 class LpStatus(Enum):
+    """How a solve ended; OPTIMAL is the only way (see :func:`solve_lp`)."""
+
     OPTIMAL = "optimal"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass
@@ -107,9 +110,6 @@ class _Tableau:
         self.pivots = 0
         self.bound_flips = 0
 
-    def solution(self, status: LpStatus, x: np.ndarray, value: float) -> LpSolution:
-        return LpSolution(status, x, value, self.pivots, self.bound_flips)
-
     def nonbasic_value(self, j: int) -> float:
         return self.upper[j] if self.at_upper[j] else self.lower[j]
 
@@ -125,7 +125,7 @@ class _Tableau:
         T[touched] -= np.outer(T[touched, col], T[row])
         self.pivots += 1
 
-    def run(self, c_all: np.ndarray) -> LpStatus:
+    def run(self, c_all: np.ndarray) -> None:
         """Iterate to optimality for the given objective."""
         rc = self.reduced_costs(c_all)
         eligible = np.ones(self.T.shape[1], dtype=bool)  # nonbasic
@@ -144,7 +144,7 @@ class _Tableau:
             else:
                 enter = int(improving.argmax())
             if not improving[enter]:
-                return LpStatus.OPTIMAL
+                return
             sigma = -1.0 if self.at_upper[enter] else 1.0
 
             move = sigma * self.T[:, enter]
@@ -167,7 +167,7 @@ class _Tableau:
                 min_room = room.min()
             delta = min(span, min_room)
             if not np.isfinite(delta):
-                return LpStatus.UNBOUNDED
+                raise RuntimeError("simplex found an unbounded step on a boxed LP")
 
             if span <= min_room:
                 self.at_upper[enter] = not self.at_upper[enter]
@@ -199,19 +199,16 @@ class _Tableau:
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve a small dense LP; deterministic for a fixed input.
 
-    Returns an optimal basic feasible solution, or a solution object with
-    status UNBOUNDED (x zeroed) when the objective grows without limit.
+    Returns an optimal basic feasible solution: ``LinearProgram`` admits only
+    bounded problems with a feasible start, so the status is always OPTIMAL.
     """
     tab = _Tableau(lp)
     n = tab.n
-    status = tab.run(np.concatenate([lp.objective, np.zeros(tab.m)]))
-    if status is not LpStatus.OPTIMAL:
-        return tab.solution(status, np.zeros(n), 0.0)
-
+    tab.run(np.concatenate([lp.objective, np.zeros(tab.m)]))
     x = np.empty(n)
     row_of = {int(var): row for row, var in enumerate(tab.basis)}
     for j in range(n):
         row = row_of.get(j)
         x[j] = tab.x_basic[row] if row is not None else tab.nonbasic_value(j)
     np.clip(x, lp.variable_bounds[:, 0], lp.variable_bounds[:, 1], out=x)
-    return tab.solution(LpStatus.OPTIMAL, x, float(lp.objective @ x))
+    return LpSolution(LpStatus.OPTIMAL, x, float(lp.objective @ x), tab.pivots, tab.bound_flips)

@@ -464,7 +464,8 @@ def relaxed_wsu_trace(result: SgpaResult) -> List[tuple]:
 
 
 def write_trace_csv(result: SgpaResult, path) -> None:
-    """Write the trace as CSV, one column per IterationRecord field.
+    """Write the trace of ``result`` (an :class:`SgpaResult`, or any run
+    that carries its ``trace``) as CSV, one column per IterationRecord field.
 
     ``zero_rate_ues`` is written as user indices joined with ``;`` (empty
     when no row was held).

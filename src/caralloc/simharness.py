@@ -1,4 +1,4 @@
-"""Seeded random instance generation and Monte-Carlo sweep harness.
+"""The algorithm table, seeded random instances and the Monte-Carlo sweep.
 
 Randomness comes from numpy's Philox counter-based generator. Every stream
 is keyed by ``SeedSequence(seed, spawn_key=...)``: a sweep derives the trial
@@ -14,7 +14,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,13 +24,15 @@ from .baselines import (
     BudgetExceededError,
     brute_force_oracle,
     greedy_unconstrained,
-    heuristic_solve,
+    heuristic_run,
 )
-from .core import ProblemInstance, check_document, evaluate_wsu
-from .sgpa import SgpaConfig, _snap, capped_simplex_normalize, solve
+from .core import BinaryAllocation, ProblemInstance, check_document, evaluate_wsu
+from .sgpa import IterationRecord, SgpaConfig, _snap, capped_simplex_normalize, solve
 
 __all__ = [
     "GENERATOR_NAME",
+    "ALGORITHMS",
+    "Run",
     "GenParams",
     "SweepConfig",
     "ResultRow",
@@ -44,12 +46,49 @@ __all__ = [
 
 GENERATOR_NAME = "numpy.random.Philox"
 
-#: Each sweep algorithm as a call from (instance, SweepConfig) to its WSU.
-SWEEP_ALGORITHMS = {
-    "sgpa": lambda instance, config: solve(instance, config.sgpa).wsu,
-    "heuristic": lambda instance, config: evaluate_wsu(instance, heuristic_solve(instance)),
-    "greedy": lambda instance, config: evaluate_wsu(instance, greedy_unconstrained(instance).allocation),
-    "oracle": lambda instance, config: brute_force_oracle(instance, config.oracle_budget)[1],
+
+@dataclass(frozen=True)
+class Run:
+    """One algorithm's output on one instance: the allocation, its WSU, the
+    algorithm's run facts, and the solver's trace records when its config
+    records them."""
+
+    allocation: BinaryAllocation
+    wsu: float
+    facts: dict = field(default_factory=dict)
+    trace: Optional[List[IterationRecord]] = None
+
+
+def _run_sgpa(instance: ProblemInstance, sgpa: SgpaConfig, budget: int) -> Run:
+    result = solve(instance, sgpa)
+    names = ("iterations_run", "converged", "active_carriers", "binary_distance")
+    facts = {name: getattr(result, name) for name in names}
+    return Run(result.binary, result.wsu, facts, result.trace)
+
+
+def _run_greedy(instance: ProblemInstance, sgpa: SgpaConfig, budget: int) -> Run:
+    allocation = greedy_unconstrained(instance)
+    return Run(allocation, evaluate_wsu(instance, allocation))
+
+
+def _run_heuristic(instance: ProblemInstance, sgpa: SgpaConfig, budget: int) -> Run:
+    result = heuristic_run(instance)
+    facts = {"lp_pivots": result.lp.pivots, "lp_bound_flips": result.lp.bound_flips}
+    return Run(result.allocation, evaluate_wsu(instance, result.allocation), facts)
+
+
+def _run_oracle(instance: ProblemInstance, sgpa: SgpaConfig, budget: int) -> Run:
+    return Run(*brute_force_oracle(instance, budget))
+
+
+#: Every algorithm as a call from (instance, solver config, oracle budget) to
+#: its :class:`Run`: the one way ``caralloc solve`` and :func:`run_sweep` run
+#: an algorithm.
+ALGORITHMS: Dict[str, Callable[[ProblemInstance, SgpaConfig, int], Run]] = {
+    "sgpa": _run_sgpa,
+    "greedy": _run_greedy,
+    "heuristic": _run_heuristic,
+    "oracle": _run_oracle,
 }
 
 #: Smallest kept/dropped rate ratio r[M_k-1] / r[M_k] that fig1_experiment accepts.
@@ -182,9 +221,11 @@ class SweepConfig:
             raise ValueError("jobs must be >= 1")
         if self.oracle_budget < 1:
             raise ValueError("oracle_budget must be >= 1")
+        if not self.algorithms or len(set(self.algorithms)) < len(self.algorithms):
+            raise ValueError(f"algorithms must be non-empty and distinct, not {list(self.algorithms)}")
         for name in self.algorithms:
-            if name not in SWEEP_ALGORITHMS:
-                raise ValueError(f"unknown algorithm {name!r}; pick from {tuple(SWEEP_ALGORITHMS)}")
+            if name not in ALGORITHMS:
+                raise ValueError(f"unknown algorithm {name!r}; pick from {tuple(ALGORITHMS)}")
 
     def grid_points(self) -> List[Tuple[int, int, int]]:
         ms = tuple(self.m_grid) if self.m_grid else (self.gen.M,)
@@ -254,7 +295,7 @@ def _run_trial(args) -> dict:
     for algorithm in config.algorithms:
         start = time.perf_counter()
         try:
-            wsu = SWEEP_ALGORITHMS[algorithm](instance, config)
+            wsu = ALGORITHMS[algorithm](instance, config.sgpa, config.oracle_budget).wsu
         except BudgetExceededError as exc:
             out[algorithm] = f"needs {exc.required} enumerations, budget {exc.budget}"
             continue

@@ -38,18 +38,18 @@ class TestGreedy:
     def test_higher_utility_wins(self):
         inst = make_instance([1.0, 1.0], [[[5.0]], [[3.0]]], [1, 1], 1)
         result = greedy_unconstrained(inst)
-        assert result.allocation.alpha[0, 0, 0] == 1
-        assert result.allocation.alpha[1, 0, 0] == 0
+        assert result.alpha[0, 0, 0] == 1
+        assert result.alpha[1, 0, 0] == 0
 
     def test_weight_can_flip_the_winner(self):
         inst = make_instance([1.0, 10.0], [[[5.0]], [[1.0]]], [1, 1], 1)
         result = greedy_unconstrained(inst)
-        assert result.allocation.alpha[1, 0, 0] == 1  # 10*1 > 1*5
+        assert result.alpha[1, 0, 0] == 1  # 10*1 > 1*5
 
     def test_tie_goes_to_lowest_index(self):
         inst = make_instance([1.0, 1.0], [[[2.0]], [[2.0]]], [1, 1], 1)
         result = greedy_unconstrained(inst)
-        assert result.allocation.alpha[0, 0, 0] == 1
+        assert result.alpha[0, 0, 0] == 1
 
     def test_matches_oracle_when_caps_are_slack(self):
         for seed in range(15):
@@ -57,18 +57,17 @@ class TestGreedy:
                 GenParams(K=3, M=3, N=2, ue_cc_cap=3, system_cc_cap_limit=3, seed=seed)
             )
             greedy = greedy_unconstrained(inst)
-            assert greedy.within_caps
-            assert check_feasibility(inst, greedy.allocation).ok
+            assert check_feasibility(inst, greedy).ok
             _, oracle_wsu = brute_force_oracle(inst)
-            assert evaluate_wsu(inst, greedy.allocation) == pytest.approx(oracle_wsu, abs=1e-9)
+            assert evaluate_wsu(inst, greedy) == pytest.approx(oracle_wsu, abs=1e-9)
 
     def test_flags_cap_violations(self):
         rng = np.random.default_rng(0)
         inst = make_instance(
             np.ones(2), rng.uniform(0.5, 1.0, (2, 4, 2)), [1, 1], 4
         )
-        result = greedy_unconstrained(inst)
-        assert not result.within_caps
+        report = check_feasibility(inst, greedy_unconstrained(inst))
+        assert not (report.c2_ok and report.c3_ok)
 
 
 class TestHeuristic:
@@ -79,7 +78,7 @@ class TestHeuristic:
             )
             heuristic = heuristic_solve(inst)
             greedy = greedy_unconstrained(inst)
-            np.testing.assert_array_equal(heuristic.alpha, greedy.allocation.alpha)
+            np.testing.assert_array_equal(heuristic.alpha, greedy.alpha)
 
     def test_single_ue_lp_vertex_by_hand(self):
         # Per-carrier gains [5, 1] with a single-carrier cap: the LP puts the
@@ -189,7 +188,7 @@ class TestOracle:
 
 SCALED_ALGORITHMS = {
     "sgpa": lambda inst: solve(inst).binary,
-    "greedy": lambda inst: greedy_unconstrained(inst).allocation,
+    "greedy": greedy_unconstrained,
     "heuristic": heuristic_solve,
     "oracle": lambda inst: brute_force_oracle(inst)[0],
 }

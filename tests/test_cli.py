@@ -11,7 +11,7 @@ from caralloc.cli import build_parser, main
 from caralloc.core import BinaryAllocation, ProblemInstance
 from caralloc.lp import solve_lp
 from caralloc.sgpa import SgpaConfig, solve
-from caralloc.simharness import fig1_experiment
+from caralloc.simharness import ALGORITHMS, fig1_experiment
 
 
 def run(capsys, *argv):
@@ -126,6 +126,41 @@ class TestSolve:
         )
         assert code == 2
         assert "budget" in err
+
+    def test_flags_of_other_algorithms_are_checked(self, tmp_path, capsys):
+        path = write_instance(tmp_path, capsys)
+        for algorithm, flag, value, name in (
+            ("heuristic", "--max-iterations", "0", "max_iterations"),
+            ("sgpa", "--budget", "0", "budget"),
+        ):
+            code, out, err = run(
+                capsys, "solve", "--instance", str(path), "--algorithm", algorithm, flag, value
+            )
+            assert code == 2
+            assert out == ""
+            assert name in err
+
+    def test_greedy_reports_whether_it_kept_the_caps(self, tmp_path, capsys):
+        # With Mk = M0 = M every cap is slack; with Mk = 1 the greedy hands
+        # all 3 carriers' blocks to 2 users, so one of them holds two carriers.
+        for mk, within_caps in (("3", True), ("1", False)):
+            path = tmp_path / f"mk{mk}.json"
+            code, _, err = run(
+                capsys, "gen", "--K", "2", "--M", "3", "--N", "2", "--Mk", mk,
+                "--seed", "7", "-o", str(path),
+            )
+            assert code == 0, err
+            code, out, _ = run(capsys, "solve", "--instance", str(path), "--algorithm", "greedy")
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["within_caps"] is within_caps
+            assert doc["feasible"] is within_caps
+
+    def test_algorithm_choices_are_the_table(self, capsys):
+        code, out, _ = run(capsys, "solve", "--help")
+        assert code == 0
+        assert "--algorithm {" + ",".join(ALGORITHMS) + "}" in out
+        assert list(ALGORITHMS) == ["sgpa", "greedy", "heuristic", "oracle"]
 
     def test_trace_with_another_algorithm_exits_2(self, tmp_path, capsys):
         path = write_instance(tmp_path, capsys)
@@ -309,6 +344,8 @@ class TestSweep:
             ({**config, "gen": {**gen, "stream_key": [7, 7]}}, ["'gen.stream_key'"]),
             ({**config, "sgpa": {"record_trace": True}}, ["'sgpa.record_trace'"]),
             ({**config, "oracle_budget": 0}, ["oracle_budget"]),
+            ({**config, "algorithms": []}, ["algorithms"]),
+            ({**config, "algorithms": ["sgpa", "sgpa"]}, ["algorithms"]),
         ):
             config_path = tmp_path / "sweep.json"
             config_path.write_text(json.dumps(broken))

@@ -136,7 +136,7 @@ def iterate_digests(instance):
 
 def case_digests(instance):
     result = solve(instance)
-    greedy = greedy_unconstrained(instance).allocation
+    greedy = greedy_unconstrained(instance)
     heuristic = heuristic_solve(instance)
     out = {
         "sgpa": digest(result.binary, result.wsu),

@@ -77,7 +77,7 @@ PERMUTATION_SHAPES = (
 
 WSU_ALGORITHMS = {
     "oracle": lambda inst: brute_force_oracle(inst)[0],
-    "greedy": lambda inst: greedy_unconstrained(inst).allocation,
+    "greedy": greedy_unconstrained,
     "heuristic": heuristic_solve,
 }
 

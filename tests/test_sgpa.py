@@ -300,8 +300,8 @@ class TestSolve:
             )
             result = solve(inst)
             greedy = greedy_unconstrained(inst)
-            np.testing.assert_array_equal(result.binary.alpha, greedy.allocation.alpha)
-            assert result.wsu == evaluate_wsu(inst, greedy.allocation)
+            np.testing.assert_array_equal(result.binary.alpha, greedy.alpha)
+            assert result.wsu == evaluate_wsu(inst, greedy)
 
     def test_iterate_sum_identities_hold(self):
         for seed in range(20):

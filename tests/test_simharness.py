@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from caralloc.core import top_cap_indicator
+from caralloc.core import evaluate_wsu, top_cap_indicator
+from caralloc.sgpa import SgpaConfig
 from caralloc.simharness import (
+    ALGORITHMS,
     GenParams,
     SweepConfig,
     capacity_utilities,
@@ -101,6 +103,30 @@ class TestSampleInstance:
     def test_effective_system_cap_applied(self):
         inst = sample_instance(small_params(system_cc_cap_limit=50))
         assert inst.system_cc_cap == 3
+
+
+class TestAlgorithms:
+    def test_entries_return_the_allocation_wsu_and_facts(self):
+        instance = sample_instance(small_params(seed=4))
+        facts = {
+            "sgpa": ["iterations_run", "converged", "active_carriers", "binary_distance"],
+            "greedy": [],
+            "heuristic": ["lp_pivots", "lp_bound_flips"],
+            "oracle": [],
+        }
+        assert list(ALGORITHMS) == list(facts)
+        for name, entry in ALGORITHMS.items():
+            run = entry(instance, SgpaConfig(), 100)
+            assert run.wsu == evaluate_wsu(instance, run.allocation)
+            assert list(run.facts) == facts[name]
+            assert run.trace is None
+
+    def test_only_a_recording_solver_returns_its_trace(self):
+        instance = sample_instance(small_params(seed=4))
+        config = SgpaConfig(max_iterations=3, record_trace=True)
+        traces = {name: entry(instance, config, 100).trace for name, entry in ALGORITHMS.items()}
+        assert [rec.iteration for rec in traces.pop("sgpa")] == [1, 2, 3]
+        assert traces == {"greedy": None, "heuristic": None, "oracle": None}
 
 
 class TestRunSweep:
