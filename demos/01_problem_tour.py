@@ -52,7 +52,10 @@ report = check_feasibility(instance, bad)
 print("tampered allocation feasible:", report.ok, "- first broken chain:", report.consistency_violation)
 print("note: the inconsistent block adds nothing:", evaluate_wsu(instance, bad))
 
-# A fractional allocation and its rounding.
+# A fractional allocation and its rounding. Rounding picks carriers and
+# admissions from gamma and beta, then gives each block to the admitted user
+# with the largest weighted utility w_k * phi[k, m, n]; alpha, here an even
+# split, is not read.
 relaxed = RelaxedAllocation(
     alpha=np.full((2, 2, 2), 0.5),
     beta=[[0.8, 0.2], [0.3, 0.7]],
@@ -61,5 +64,9 @@ relaxed = RelaxedAllocation(
 print("relaxed utility:", round(evaluate_relaxed_wsu(instance, relaxed), 4))
 rounded = quantize(instance, relaxed)
 print("rounded beta:\n", rounded.beta)
+for m, n in np.ndindex(2, 2):
+    k = int(rounded.alpha[:, m, n].argmax())
+    print(f"carrier {m} block {n} -> user {k}, the admitted user with the largest "
+          f"weighted utility ({instance.weights[k] * phi[k, m, n]})")
 print("rounded utility:", evaluate_wsu(instance, rounded))
 print("rounded allocation feasible:", check_feasibility(instance, rounded).ok)

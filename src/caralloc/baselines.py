@@ -78,7 +78,7 @@ def greedy_unconstrained(instance: ProblemInstance) -> BinaryAllocation:
     verdicts.
     """
     everyone = np.ones((instance.num_ues, instance.num_ccs), dtype=np.int8)
-    return _used_allocation(block_winners(instance.weighted_utilities, everyone, everyone[0]))
+    return _used_allocation(block_winners(instance, everyone, everyone[0]))
 
 
 def _carrier_selection_lp(instance: ProblemInstance) -> LinearProgram:
@@ -134,15 +134,12 @@ def heuristic_run(instance: ProblemInstance) -> HeuristicResult:
     problem to picking carrier admissions and activations; that bilinear
     objective is relaxed to an LP with the same optimum value. Stage two is
     :func:`~caralloc.core.round_allocation`, the rounding the iterative
-    solver ends with, scoring blocks by weighted utility.
+    solver ends with.
     """
     K, M = instance.num_ues, instance.num_ccs
     sol = solve_lp(_carrier_selection_lp(instance))
-    km = K * M
-    allocation = round_allocation(
-        instance, instance.weighted_utilities, sol.x[:km].reshape(K, M), sol.x[km:]
-    )
-    return HeuristicResult(allocation, sol)
+    beta, gamma = sol.x[: K * M].reshape(K, M), sol.x[K * M :]
+    return HeuristicResult(round_allocation(instance, beta, gamma), sol)
 
 
 def heuristic_solve(instance: ProblemInstance) -> BinaryAllocation:
@@ -206,5 +203,5 @@ def brute_force_oracle(
 
     beta = np.zeros((K, M), dtype=np.int8)
     beta[:, list(best_active)] = best_membership
-    allocation = _used_allocation(block_winners(weighted, beta, np.ones(M)))
+    allocation = _used_allocation(block_winners(instance, beta, np.ones(M)))
     return allocation, evaluate_wsu(instance, allocation)

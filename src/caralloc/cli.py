@@ -123,13 +123,13 @@ def cmd_solve(args) -> int:
     config = SgpaConfig(max_iterations=args.max_iterations, record_trace=args.trace is not None)
     if args.budget < 1:
         raise ValueError(f"oracle budget must be >= 1, not {args.budget}")
+    if args.trace is not None and args.algorithm != "sgpa":
+        raise ValueError(f"--trace: algorithm {args.algorithm} records no trace")
     with open(args.instance) as fh:
         instance = ProblemInstance.from_json(fh.read())
 
     run = ALGORITHMS[args.algorithm](instance, config, args.budget)
     if args.trace is not None:
-        if run.trace is None:
-            raise ValueError(f"--trace: algorithm {args.algorithm} records no trace")
         write_trace_csv(run, args.trace)
     feasibility = check_feasibility(instance, run.allocation)
     doc = {"algorithm": args.algorithm, "wsu": run.wsu, **feasibility.to_dict(), **run.facts}

@@ -3,8 +3,8 @@
 Holds the immutable problem description (per-user weights, per-block
 utilities, carrier caps), the weighted-sum-utility objective, feasibility
 checking against the hard constraints, and the rounding that turns a
-continuous allocation (or any carrier/admission shares plus block scores)
-into a feasible 0/1 one.
+continuous allocation (or any carrier/admission shares) into a feasible 0/1
+one, each block going to its admitted user with the largest weighted utility.
 
 Conventions used throughout the package:
 
@@ -430,43 +430,45 @@ def top_cap_indicator(values: np.ndarray, cap: int, eligible: Optional[np.ndarra
     return out
 
 
-def block_winners(scores: np.ndarray, beta_bin: np.ndarray, gamma_bin: np.ndarray) -> np.ndarray:
-    """0/1 block assignment: each block goes to its highest-scoring admitted user.
+def block_winners(instance: ProblemInstance, beta_bin: np.ndarray, gamma_bin: np.ndarray) -> np.ndarray:
+    """0/1 blocks: each to its admitted user of largest ``weights[k] * utilities[k, m, n]``.
 
     A user is admitted on carrier m when ``beta_bin[k, m]`` and
     ``gamma_bin[m]`` are both 1. Ties go to the lowest user index. Blocks of
     a carrier with no admitted user stay unallocated.
     """
-    admitted = (beta_bin == 1) & (gamma_bin == 1)
-    winners = np.argmax(np.where(admitted[:, :, None], scores, -np.inf), axis=0)
-    alpha = np.zeros(np.shape(scores), dtype=np.int8)
-    np.put_along_axis(alpha, winners[None], admitted.any(axis=0)[None, :, None], axis=0)
+    active = np.flatnonzero(gamma_bin == 1)
+    admitted = beta_bin[:, active] == 1
+    scores = instance.utilities[:, active, :]  # active carriers only: K * M0 * N floats
+    scores *= instance.weights[:, None, None]
+    scores[~admitted] = -np.inf
+    alpha = np.zeros(instance.utilities.shape, dtype=np.int8)
+    blocks = np.arange(instance.num_rbs_per_cc)
+    alpha[np.argmax(scores, axis=0), active[:, None], blocks] = admitted.any(axis=0)[:, None]
     return alpha
 
 
-def round_allocation(
-    instance: ProblemInstance, scores: np.ndarray, beta: np.ndarray, gamma: np.ndarray
-) -> BinaryAllocation:
-    """Round carrier and admission shares, then hand out blocks by score.
+def round_allocation(instance: ProblemInstance, beta: np.ndarray, gamma: np.ndarray) -> BinaryAllocation:
+    """Round carrier and admission shares, then hand out the blocks.
 
     Carriers first (top system-cap activation), then each user's carrier set
-    (its top entries among the carriers just activated), then per-block
-    winners by ``scores`` among the users admitted to that carrier. Every
-    stage only picks from what the previous stage kept, so the output
-    satisfies all hard constraints by construction.
+    (its top entries among the carriers just activated), then
+    :func:`block_winners`, the best blocks for those memberships (WSU splits
+    per block once they are fixed). Every stage only picks from what the
+    previous stage kept, so the output satisfies all hard constraints.
     """
     gamma_bin = top_cap_indicator(gamma, instance.system_cc_cap)
     active = gamma_bin == 1
     beta_bin = np.zeros((instance.num_ues, instance.num_ccs), dtype=np.int8)
     for k in range(instance.num_ues):
         beta_bin[k] = top_cap_indicator(beta[k], int(instance.ue_cc_caps[k]), eligible=active)
-    return BinaryAllocation(block_winners(scores, beta_bin, gamma_bin), beta_bin, gamma_bin)
+    return BinaryAllocation(block_winners(instance, beta_bin, gamma_bin), beta_bin, gamma_bin)
 
 
 def quantize(instance: ProblemInstance, relaxed: RelaxedAllocation) -> BinaryAllocation:
     """Round a continuous allocation to a feasible 0/1 allocation.
 
-    :func:`round_allocation` with the block shares as the block scores.
+    :func:`round_allocation` of the relaxed ``beta`` and ``gamma``; ``alpha`` is not read.
     """
     _require_dims(instance, relaxed)
-    return round_allocation(instance, relaxed.alpha, relaxed.beta, relaxed.gamma)
+    return round_allocation(instance, relaxed.beta, relaxed.gamma)

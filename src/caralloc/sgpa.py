@@ -5,7 +5,7 @@ attacked through a sequence of convexified subproblems, each of which has a
 closed-form optimum: every variable is rescaled by its current marginal rate
 and renormalized onto a capped simplex (sum fixed by the relevant cap, each
 entry at most 1). Iterating this update drives the shares toward 0/1 values;
-a final quantization step rounds whatever has not converged yet. The start
+a final quantization rounds what is left, each block by weighted utility. The start
 (each block spread evenly over its cap) and the thresholds (the constants
 ``SNAP_TOLERANCE``, ``ZERO_TOLERANCE`` and ``CONVERGENCE_TOLERANCE``) are
 fixed; :class:`SgpaConfig` sets only the sweep budget and the trace.

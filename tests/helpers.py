@@ -5,9 +5,10 @@ simplex multiplier is found by bisection on the saturation count, and the
 row-batched normalization is checked byte for byte against a scalar
 breakpoint scan that handles one score vector at a time; small LPs are
 solved by enumerating candidate vertices, the heuristic's carrier-selection
-LP has a reference formulation with explicit product variables, and the
+LP has a reference formulation with explicit product variables, the
 exhaustive oracle has a reference that walks every carrier set of every
-size.
+size, and the solver's rounding is compared with the former rule that gave
+each block to the admitted user with the largest relaxed share.
 """
 
 import itertools
@@ -15,7 +16,13 @@ import math
 
 import numpy as np
 
-from caralloc.core import BinaryAllocation, ProblemInstance, block_winners, evaluate_wsu
+from caralloc.core import (
+    BinaryAllocation,
+    ProblemInstance,
+    block_winners,
+    evaluate_wsu,
+    top_cap_indicator,
+)
 from caralloc.lp import LinearProgram
 from caralloc.sgpa import NormalizationSolution
 
@@ -249,5 +256,21 @@ def reference_oracle(instance):
     if best_active:
         gamma[list(best_active)] = 1
         beta[:, list(best_active)] = best_membership
-    allocation = BinaryAllocation(block_winners(weighted, beta, gamma), beta, gamma)
+    allocation = BinaryAllocation(block_winners(instance, beta, gamma), beta, gamma)
     return allocation, evaluate_wsu(instance, allocation)
+
+
+def alpha_rounding(instance, relaxed):
+    """The solver's former rounding: carriers and admissions as
+    :func:`caralloc.core.round_allocation` picks them, then each block to the
+    admitted user with the largest relaxed ``alpha`` (ties to the lowest
+    index). The current rule scores blocks by weighted utility instead."""
+    gamma = top_cap_indicator(relaxed.gamma, instance.system_cc_cap)
+    beta = np.zeros((instance.num_ues, instance.num_ccs), dtype=np.int8)
+    for k in range(instance.num_ues):
+        beta[k] = top_cap_indicator(relaxed.beta[k], int(instance.ue_cc_caps[k]), eligible=gamma == 1)
+    admitted = (beta == 1) & (gamma == 1)
+    winners = np.argmax(np.where(admitted[:, :, None], relaxed.alpha, -np.inf), axis=0)
+    alpha = np.zeros(relaxed.alpha.shape, dtype=np.int8)
+    np.put_along_axis(alpha, winners[None], admitted.any(axis=0)[None, :, None], axis=0)
+    return BinaryAllocation(alpha, beta, gamma)

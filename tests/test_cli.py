@@ -4,6 +4,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from caralloc import baselines
 from caralloc.baselines import MAX_ENUMERATIONS, _carrier_selection_lp
@@ -162,12 +163,20 @@ class TestSolve:
         assert "--algorithm {" + ",".join(ALGORITHMS) + "}" in out
         assert list(ALGORITHMS) == ["sgpa", "greedy", "heuristic", "oracle"]
 
-    def test_trace_with_another_algorithm_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "algorithm, flags",
+        [("greedy", ()), ("heuristic", ()), ("oracle", ()), ("oracle", ("--budget", "1"))],
+        ids=["greedy", "heuristic", "oracle", "oracle-over-budget"],
+    )
+    def test_trace_with_another_algorithm_exits_2(self, tmp_path, capsys, algorithm, flags):
+        """Only the solver records a trace, so ``--trace`` with any other
+        algorithm is refused before the run: with a budget of 1 the oracle
+        would otherwise stop with exit 4."""
         path = write_instance(tmp_path, capsys)
         trace = tmp_path / "trace.csv"
         code, _, err = run(
-            capsys, "solve", "--instance", str(path), "--algorithm", "heuristic",
-            "--trace", str(trace),
+            capsys, "solve", "--instance", str(path), "--algorithm", algorithm,
+            "--trace", str(trace), *flags,
         )
         assert code == 2
         assert "--trace" in err

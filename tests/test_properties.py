@@ -19,48 +19,56 @@ UNIT = st.floats(0.0, 1.0)
 
 @st.composite
 def rounding_inputs(draw):
-    """A small instance plus arbitrary block scores and carrier/admission shares.
+    """A small instance with drawn weights and utilities, plus carrier and
+    admission shares.
 
-    Scores come from a coarse grid as well as the unit interval, so ties
-    between users are common.
+    Utilities and weights come from the coarse set {0, 0.5, 1} (weights from
+    {0.5, 1}) as well as the unit interval, so ties between users' weighted
+    utilities are common.
     """
     K = draw(st.integers(1, 4))
     M = draw(st.integers(1, 5))
     N = draw(st.integers(1, 3))
+    coarse = draw(st.booleans())
+    values = st.sampled_from([0.0, 0.5, 1.0]) if coarse else UNIT
+    weights = st.sampled_from([0.5, 1.0]) if coarse else st.floats(0.01, 1.0)
     instance = ProblemInstance(
         num_ues=K,
         num_ccs=M,
         num_rbs_per_cc=N,
-        weights=np.ones(K),
-        utilities=np.ones((K, M, N)),
+        weights=draw(arrays(float, K, elements=weights)),
+        utilities=draw(arrays(float, (K, M, N), elements=values)),
         ue_cc_caps=draw(arrays(int, K, elements=st.integers(1, M))),
         system_cc_cap=draw(st.integers(1, M)),
     )
-    score_values = draw(st.sampled_from([UNIT, st.sampled_from([0.0, 0.5, 1.0])]))
-    scores = draw(arrays(float, (K, M, N), elements=score_values))
     beta = draw(arrays(float, (K, M), elements=UNIT))
     gamma = draw(arrays(float, M, elements=UNIT))
-    return instance, scores, beta, gamma
+    return instance, beta, gamma
 
 
 @settings(max_examples=300, deadline=None)
 @given(rounding_inputs())
 def test_round_allocation_is_feasible_and_gives_blocks_to_best_admitted_user(case):
-    instance, scores, beta, gamma = case
-    out = round_allocation(instance, scores, beta, gamma)
+    """Every held block goes to an admitted user of largest weighted
+    utility, the lowest-numbered one among ties."""
+    instance, beta, gamma = case
+    out = round_allocation(instance, beta, gamma)
     assert check_feasibility(instance, out).ok
 
+    weighted = instance.weighted_utilities
     admitted = (out.beta == 1) & (out.gamma == 1)[None, :]
     for m in range(instance.num_ccs):
         for n in range(instance.num_rbs_per_cc):
             holders = np.flatnonzero(out.alpha[:, m, n])
-            if not admitted[:, m].any():
+            members = np.flatnonzero(admitted[:, m])
+            if members.size == 0:
                 assert holders.size == 0
                 continue
-            best = scores[admitted[:, m], m, n].max()
+            best = weighted[members, m, n].max()
             assert holders.size == 1
             assert admitted[holders[0], m]
-            assert scores[holders[0], m, n] == best
+            assert weighted[holders[0], m, n] == best
+            assert holders[0] == members[weighted[members, m, n] == best][0]
 
 
 #: (K, M, N, Mk, M0 limit): the oracle_small shape, small golden shapes,

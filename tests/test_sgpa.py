@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from caralloc.core import ProblemInstance, check_feasibility, evaluate_wsu
+from caralloc.core import ProblemInstance, RelaxedAllocation, check_feasibility, evaluate_wsu, quantize
 from caralloc.baselines import greedy_unconstrained
 from caralloc.sgpa import (
     DegenerateInstanceError,
@@ -19,7 +19,9 @@ from caralloc.sgpa import (
 )
 from caralloc.simharness import GenParams, sample_instance
 
+from helpers import alpha_rounding
 from test_acceptance import binary_distance
+from test_golden import SHAPES, WEIGHT_MODES
 
 
 def make_instance(weights, phi, caps, m0):
@@ -377,3 +379,31 @@ class TestTrace:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iteration,relaxed_wsu,max_change,sum_residual,zero_rate_ues"
         assert len(lines) == 1 + result.iterations_run
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: "K{}-M{}-N{}-Mk{}-M0{}".format(*shape))
+def test_utility_rounding_never_loses_to_alpha_rounding(shape):
+    """The final rounding gives each block to the admitted user with the
+    largest weighted utility; the former rule gave it to the largest relaxed
+    share. On seeded draws of the golden shapes (the first is the
+    ``heuristic_lp`` benchmark shape), rounding the 20-sweep iterate both ways
+    picks the same carriers and admissions, and no block holds less weighted
+    utility than before. Replacing ``alpha`` leaves the rounding unchanged."""
+    K, M, N, Mk, M0 = shape
+    rng = np.random.default_rng(16)
+    for mode in WEIGHT_MODES:
+        for seed in range(10):
+            params = GenParams(K=K, M=M, N=N, ue_cc_cap=Mk, system_cc_cap_limit=M0,
+                               weight_mode=mode, seed=seed)
+            instance = sample_instance(params)
+            relaxed = solve(instance, SgpaConfig(max_iterations=20)).relaxed
+            new, old = quantize(instance, relaxed), alpha_rounding(instance, relaxed)
+            assert new.beta.tobytes() == old.beta.tobytes()
+            assert new.gamma.tobytes() == old.gamma.tobytes()
+            weighted = instance.weighted_utilities
+            assert np.all((new.alpha * weighted).sum(axis=0) >= (old.alpha * weighted).sum(axis=0))
+
+            other = RelaxedAllocation(rng.uniform(size=relaxed.alpha.shape), relaxed.beta, relaxed.gamma)
+            redone = quantize(instance, other)
+            for name in ("alpha", "beta", "gamma"):
+                assert getattr(redone, name).tobytes() == getattr(new, name).tobytes()
