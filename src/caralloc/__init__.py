@@ -28,7 +28,6 @@ from .sgpa import (
     SgpaConfig,
     SgpaResult,
     capped_simplex_normalize,
-    relaxed_wsu_trace,
     solve,
     update_alpha,
     update_beta,

@@ -17,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -124,7 +124,7 @@ _INSTANCE_FIELDS = {
 class ProblemInstance:
     """Immutable description of one allocation problem.
 
-    K users, each with a positive weight ``weights[k]`` and a cap
+    K users, each with a finite positive weight ``weights[k]`` and a cap
     ``ue_cc_caps[k]`` on how many carriers it may use; M carriers of N
     blocks each, with at most ``system_cc_cap`` carriers active in total;
     and a nonnegative utility ``utilities[k, m, n]`` earned when user k is
@@ -158,8 +158,8 @@ class ProblemInstance:
             raise ValueError(f"utilities must have shape ({K}, {M}, {N}), got {phi.shape}")
         if caps.shape != (K,):
             raise ValueError(f"ue_cc_caps must have shape ({K},), got {caps.shape}")
-        if not np.all(w > 0):
-            raise ValueError("weights must be strictly positive")
+        if not (np.all(np.isfinite(w)) and np.all(w > 0)):
+            raise ValueError("weights must be finite and strictly positive")
         if not np.all(np.isfinite(phi)) or np.any(phi < 0):
             raise ValueError("utilities must be finite and nonnegative")
         if np.any(caps < 1) or np.any(caps > M):
@@ -218,6 +218,18 @@ class ProblemInstance:
         return cls.from_dict(json.loads(text))
 
 
+def _check_shapes(alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray) -> None:
+    """ValueError unless alpha is 3-D, beta 2-D and gamma 1-D;
+    DimensionMismatchError unless they agree on K and M."""
+    if alpha.ndim != 3 or beta.ndim != 2 or gamma.ndim != 1:
+        raise ValueError("alpha must be 3-D, beta 2-D, gamma 1-D")
+    K, M, N = alpha.shape
+    if beta.shape != (K, M) or gamma.shape != (M,):
+        raise DimensionMismatchError(
+            f"inconsistent shapes: alpha {alpha.shape}, beta {beta.shape}, gamma {gamma.shape}"
+        )
+
+
 @dataclass
 class RelaxedAllocation:
     """Continuous-valued allocation iterate.
@@ -234,13 +246,7 @@ class RelaxedAllocation:
         alpha = np.array(self.alpha, dtype=float)
         beta = np.array(self.beta, dtype=float)
         gamma = np.array(self.gamma, dtype=float)
-        if alpha.ndim != 3 or beta.ndim != 2 or gamma.ndim != 1:
-            raise ValueError("alpha must be 3-D, beta 2-D, gamma 1-D")
-        K, M, N = alpha.shape
-        if beta.shape != (K, M) or gamma.shape != (M,):
-            raise DimensionMismatchError(
-                f"inconsistent shapes: alpha {alpha.shape}, beta {beta.shape}, gamma {gamma.shape}"
-            )
+        _check_shapes(alpha, beta, gamma)
         for name, arr in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
@@ -248,9 +254,6 @@ class RelaxedAllocation:
                 raise ValueError(f"{name} values must lie in [0, 1]")
             np.clip(arr, 0.0, 1.0, out=arr)
         self.alpha, self.beta, self.gamma = alpha, beta, gamma
-
-    def dims(self) -> tuple:
-        return self.alpha.shape
 
 
 @dataclass
@@ -262,24 +265,14 @@ class BinaryAllocation:
     gamma: np.ndarray
 
     def __post_init__(self):
-        arrays = {}
+        arrays = []
         for name, raw in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
             values = np.asarray(raw)
             if not np.isin(values, (0, 1)).all():
                 raise ValueError(f"{name} entries must be 0 or 1")
-            arrays[name] = values.astype(np.int8)
-        alpha, beta, gamma = arrays["alpha"], arrays["beta"], arrays["gamma"]
-        if alpha.ndim != 3 or beta.ndim != 2 or gamma.ndim != 1:
-            raise ValueError("alpha must be 3-D, beta 2-D, gamma 1-D")
-        K, M, N = alpha.shape
-        if beta.shape != (K, M) or gamma.shape != (M,):
-            raise DimensionMismatchError(
-                f"inconsistent shapes: alpha {alpha.shape}, beta {beta.shape}, gamma {gamma.shape}"
-            )
-        self.alpha, self.beta, self.gamma = alpha, beta, gamma
-
-    def dims(self) -> tuple:
-        return self.alpha.shape
+            arrays.append(values.astype(np.int8))
+        _check_shapes(*arrays)
+        self.alpha, self.beta, self.gamma = arrays
 
     def to_dict(self) -> dict:
         return {
@@ -324,23 +317,14 @@ class FeasibilityReport:
         return self.c1_ok and self.c2_ok and self.c3_ok and self.consistency_ok
 
     def to_dict(self) -> dict:
-        return {
-            "feasible": self.ok,
-            "c1_ok": self.c1_ok,
-            "c2_ok": self.c2_ok,
-            "c3_ok": self.c3_ok,
-            "consistency_ok": self.consistency_ok,
-            "c1_violation": self.c1_violation,
-            "c2_violation": self.c2_violation,
-            "c3_violation": self.c3_violation,
-            "consistency_violation": self.consistency_violation,
-        }
+        """``feasible`` (:attr:`ok`), then every field in declaration order."""
+        return {"feasible": self.ok, **asdict(self)}
 
 
 def _require_dims(instance: ProblemInstance, alloc) -> None:
-    if alloc.dims() != (instance.num_ues, instance.num_ccs, instance.num_rbs_per_cc):
+    if alloc.alpha.shape != (instance.num_ues, instance.num_ccs, instance.num_rbs_per_cc):
         raise DimensionMismatchError(
-            f"allocation dims {alloc.dims()} do not match instance "
+            f"allocation dims {alloc.alpha.shape} do not match instance "
             f"({instance.num_ues}, {instance.num_ccs}, {instance.num_rbs_per_cc})"
         )
 

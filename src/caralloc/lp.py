@@ -203,12 +203,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     bounded problems with a feasible start, so the status is always OPTIMAL.
     """
     tab = _Tableau(lp)
-    n = tab.n
     tab.run(np.concatenate([lp.objective, np.zeros(tab.m)]))
-    x = np.empty(n)
-    row_of = {int(var): row for row, var in enumerate(tab.basis)}
-    for j in range(n):
-        row = row_of.get(j)
-        x[j] = tab.x_basic[row] if row is not None else tab.nonbasic_value(j)
+    # Nonbasic variables sit at their lower or upper bound; basic ones take x_basic.
+    x = np.where(tab.at_upper, tab.upper, tab.lower)
+    x[tab.basis] = tab.x_basic
+    x = x[: tab.n]
     np.clip(x, lp.variable_bounds[:, 0], lp.variable_bounds[:, 1], out=x)
     return LpSolution(LpStatus.OPTIMAL, x, float(lp.objective @ x), tab.pivots, tab.bound_flips)

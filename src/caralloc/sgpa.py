@@ -31,7 +31,7 @@ so every live value is the same bits as when sweeping all carriers.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import List, Optional
 
 import numpy as np
@@ -41,6 +41,7 @@ from .core import (
     ProblemInstance,
     RelaxedAllocation,
     check_document,
+    evaluate_relaxed_wsu,
     evaluate_wsu,
     quantize,
 )
@@ -56,7 +57,6 @@ __all__ = [
     "update_beta",
     "update_gamma",
     "solve",
-    "relaxed_wsu_trace",
     "write_trace_csv",
 ]
 
@@ -238,7 +238,8 @@ def update_gamma(scores: np.ndarray, cap: int) -> np.ndarray:
 class IterationRecord:
     """Per-iteration diagnostics.
 
-    ``sum_residual`` is the worst deviation of the raw (pre-snap) update from
+    ``relaxed_wsu`` is :func:`~caralloc.core.evaluate_relaxed_wsu` of the
+    full-size iterate after the sweep. ``sum_residual`` is the worst deviation of the raw (pre-snap) update from
     its normalization identities: block columns summing to 1, carrier-share
     rows and activations summing to min(cap, number of positive scores).
     ``zero_rate_ues`` lists users whose carrier-share row was held because
@@ -314,7 +315,7 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     # Every entry of the start lies far above ZERO_TOLERANCE, and after every
     # _snap the iterate lies in {0} and (ZERO_TOLERANCE, 1], so the sweeps
     # run on plain arrays.
-    alpha, beta, gamma = previous = _uniform_initialization(instance)
+    alpha, beta, gamma = _uniform_initialization(instance)
 
     trace: Optional[List[IterationRecord]] = [] if cfg.record_trace else None
     w = instance.weights
@@ -322,8 +323,10 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     live = np.arange(num_ccs)  # the carriers in the working arrays
     utilities = instance.utilities
     caps, system_cap = instance.ue_cc_caps, instance.system_cc_cap
-    iterations_run = 0
     converged = False
+
+    def full_size() -> RelaxedAllocation:
+        return RelaxedAllocation(*(_scatter(arr, live, num_ccs) for arr in (alpha, beta, gamma)))
 
     for iteration in range(1, cfg.max_iterations + 1):
         scores = _sweep_scores(w, utilities, alpha, beta, gamma)
@@ -361,29 +364,13 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
 
         max_change = max(
             float(np.abs(new - old).max())
-            for new, old in zip((new_alpha, new_beta, new_gamma), previous)
+            for new, old in zip((new_alpha, new_beta, new_gamma), (alpha, beta, gamma))
         )
-        alpha, beta, gamma = previous = new_alpha, new_beta, new_gamma
-        iterations_run = iteration
+        alpha, beta, gamma = new_alpha, new_beta, new_gamma
 
         if cfg.record_trace:
-            relaxed_wsu = float(
-                np.einsum(
-                    "k,m,km,kmn,kmn->",
-                    w,
-                    *(_scatter(arr, live, num_ccs) for arr in (gamma, beta, alpha)),
-                    instance.utilities,
-                )
-            )
-            trace.append(
-                IterationRecord(
-                    iteration=iteration,
-                    relaxed_wsu=relaxed_wsu,
-                    max_change=max_change,
-                    sum_residual=residual,
-                    zero_rate_ues=zero_rate,
-                )
-            )
+            relaxed_wsu = evaluate_relaxed_wsu(instance, full_size())
+            trace.append(IterationRecord(iteration, relaxed_wsu, max_change, residual, zero_rate))
 
         if max_change < CONVERGENCE_TOLERANCE:
             converged = True
@@ -400,7 +387,6 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
             alpha = alpha.compress(keep, axis=1)
             beta = beta.compress(keep, axis=1)
             gamma = gamma.compress(keep)
-            previous = alpha, beta, gamma
             caps = np.minimum(caps, live.size)
             system_cap = min(system_cap, live.size)
 
@@ -408,13 +394,13 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     # carrier's activation and shares are all exactly 0.
     active_carriers = int(np.count_nonzero(gamma))
     binary_distance = max(float(np.minimum(arr, 1.0 - arr).max()) for arr in (alpha, beta, gamma))
-    final = RelaxedAllocation(*(_scatter(arr, live, num_ccs) for arr in (alpha, beta, gamma)))
+    final = full_size()
     binary = quantize(instance, final)
     return SgpaResult(
         relaxed=final,
         binary=binary,
         wsu=evaluate_wsu(instance, binary),
-        iterations_run=iterations_run,
+        iterations_run=iteration,
         converged=converged,
         active_carriers=active_carriers,
         binary_distance=binary_distance,
@@ -456,32 +442,20 @@ def _sum_identity_residual(instance, scores, new_alpha, new_beta, new_gamma):
     return residual, tuple(np.flatnonzero(~live_rows).tolist())
 
 
-def relaxed_wsu_trace(result: SgpaResult) -> List[tuple]:
-    """The (iteration, relaxed objective) series of a traced run."""
-    if result.trace is None:
-        raise ValueError("solver was run without trace recording")
-    return [(rec.iteration, rec.relaxed_wsu) for rec in result.trace]
-
-
 def write_trace_csv(result: SgpaResult, path) -> None:
     """Write the trace of ``result`` (an :class:`SgpaResult`, or any run
-    that carries its ``trace``) as CSV, one column per IterationRecord field.
-
-    ``zero_rate_ues`` is written as user indices joined with ``;`` (empty
-    when no row was held).
+    that carries its ``trace``) as CSV: one column per
+    :class:`IterationRecord` field, each value as its ``repr``, and
+    ``zero_rate_ues`` as user indices joined with ``;`` (empty when no row
+    was held).
     """
     if result.trace is None:
         raise ValueError("solver was run without trace recording")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "relaxed_wsu", "max_change", "sum_residual", "zero_rate_ues"])
+        writer.writerow(field.name for field in fields(IterationRecord))
         for rec in result.trace:
             writer.writerow(
-                [
-                    rec.iteration,
-                    repr(rec.relaxed_wsu),
-                    repr(rec.max_change),
-                    repr(rec.sum_residual),
-                    ";".join(str(k) for k in rec.zero_rate_ues),
-                ]
+                ";".join(map(str, value)) if isinstance(value, tuple) else repr(value)
+                for value in astuple(rec)
             )

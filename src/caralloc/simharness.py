@@ -132,10 +132,12 @@ class GenParams:
         if self.system_cc_cap_limit < 1:
             raise ValueError("system_cc_cap_limit must be >= 1")
         low, high = self.snr_db_range
-        if not low < high:
-            raise ValueError("snr_db_range must satisfy low < high")
+        if not (np.isfinite(low) and np.isfinite(high) and low < high):
+            raise ValueError("snr_db_range must be finite and satisfy low < high")
         if self.weight_mode not in ("equal", "uniform_simplex"):
             raise ValueError('weight_mode must be "equal" or "uniform_simplex"')
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
 
     @property
     def effective_system_cap(self) -> int:
@@ -221,6 +223,11 @@ class SweepConfig:
             raise ValueError("jobs must be >= 1")
         if self.oracle_budget < 1:
             raise ValueError("oracle_budget must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, not {self.base_seed}")
+        for name in ("m_grid", "mk_grid"):
+            if getattr(self, name) is not None and len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} must not be empty")
         if not self.algorithms or len(set(self.algorithms)) < len(self.algorithms):
             raise ValueError(f"algorithms must be non-empty and distinct, not {list(self.algorithms)}")
         for name in self.algorithms:

@@ -8,7 +8,8 @@ solved by enumerating candidate vertices, the heuristic's carrier-selection
 LP has a reference formulation with explicit product variables, the
 exhaustive oracle has a reference that walks every carrier set of every
 size, and the solver's rounding is compared with the former rule that gave
-each block to the admitted user with the largest relaxed share.
+each block to the admitted user with the largest relaxed share. It also
+holds the small builders and measures that several test modules share.
 """
 
 import itertools
@@ -180,6 +181,29 @@ def three_block_carrier_selection_lp(instance):
     c[:km] = gains.ravel()
     bounds = np.column_stack([np.zeros(n), np.ones(n)])
     return LinearProgram(c, A, b, bounds)
+
+
+def make_instance(weights, phi, caps, m0):
+    """An instance whose dimensions are read off the utilities ``phi``."""
+    phi = np.asarray(phi, dtype=float)
+    K, M, N = phi.shape
+    return ProblemInstance(
+        num_ues=K,
+        num_ccs=M,
+        num_rbs_per_cc=N,
+        weights=weights,
+        utilities=phi,
+        ue_cc_caps=caps,
+        system_cc_cap=m0,
+    )
+
+
+def binary_distance(relaxed):
+    """Largest distance of any relaxed share from {0, 1}."""
+    return max(
+        float(np.minimum(a, 1.0 - a).max())
+        for a in (relaxed.alpha, relaxed.beta, relaxed.gamma)
+    )
 
 
 def permuted_instance(instance, ue_perm, cc_perm):

@@ -16,19 +16,12 @@ from caralloc.core import check_feasibility, evaluate_wsu, top_cap_indicator
 from caralloc.sgpa import SgpaConfig, capped_simplex_normalize, solve
 from caralloc.simharness import GenParams, SweepConfig, fig1_experiment, run_sweep, sample_instance
 
-from helpers import bisect_capped_simplex_kappa, reference_enumeration_count
+from helpers import binary_distance, bisect_capped_simplex_kappa, reference_enumeration_count
 
 
 def report(number, name, ok, detail):
     print(f"[acceptance] criterion {number} ({name}): {'PASS' if ok else 'FAIL'} ({detail})")
     return ok
-
-
-def binary_distance(relaxed):
-    return max(
-        float(np.minimum(a, 1.0 - a).max())
-        for a in (relaxed.alpha, relaxed.beta, relaxed.gamma)
-    )
 
 
 def test_criterion_1_normalization_oracle():

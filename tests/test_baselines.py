@@ -6,32 +6,19 @@ import numpy as np
 import pytest
 
 from caralloc.baselines import (
+    MAX_ENUMERATIONS,
     BudgetExceededError,
     brute_force_oracle,
     greedy_unconstrained,
     heuristic_solve,
     oracle_enumeration_count,
 )
-from caralloc.core import ProblemInstance, check_feasibility, evaluate_wsu
-from caralloc.sgpa import solve
-from caralloc.simharness import GenParams, sample_instance
+from caralloc.core import check_feasibility, evaluate_wsu
+from caralloc.sgpa import SgpaConfig, solve
+from caralloc.simharness import ALGORITHMS, GenParams, sample_instance
 
-from helpers import reference_oracle
+from helpers import make_instance, reference_oracle
 from test_acceptance import criterion_9_draws
-
-
-def make_instance(weights, phi, caps, m0):
-    phi = np.asarray(phi, dtype=float)
-    K, M, N = phi.shape
-    return ProblemInstance(
-        num_ues=K,
-        num_ccs=M,
-        num_rbs_per_cc=N,
-        weights=weights,
-        utilities=phi,
-        ue_cc_caps=caps,
-        system_cc_cap=m0,
-    )
 
 
 class TestGreedy:
@@ -186,20 +173,15 @@ class TestOracle:
             assert evaluate_wsu(inst, heuristic_solve(inst)) <= wsu + 1e-9
 
 
-SCALED_ALGORITHMS = {
-    "sgpa": lambda inst: solve(inst).binary,
-    "greedy": greedy_unconstrained,
-    "heuristic": heuristic_solve,
-    "oracle": lambda inst: brute_force_oracle(inst)[0],
-}
-
-
 @pytest.mark.parametrize("scale", [2.0**-40, 2.0**40])
-@pytest.mark.parametrize("algorithm", sorted(SCALED_ALGORITHMS))
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_allocation_invariant_to_utility_scale(algorithm, scale):
     """Multiplying every utility by a power of two is exact in floating
     point, so every algorithm must return the very same allocation."""
-    run = SCALED_ALGORITHMS[algorithm]
+
+    def run(instance):
+        return ALGORITHMS[algorithm](instance, SgpaConfig(), MAX_ENUMERATIONS).allocation
+
     for trial in range(20):
         inst = sample_instance(
             GenParams(K=4, M=6, N=4, ue_cc_cap=2, system_cc_cap_limit=2, seed=0, stream_key=(0, trial))

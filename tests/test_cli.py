@@ -14,6 +14,8 @@ from caralloc.lp import solve_lp
 from caralloc.sgpa import SgpaConfig, solve
 from caralloc.simharness import ALGORITHMS, fig1_experiment
 
+from helpers import make_instance
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -49,6 +51,21 @@ class TestGen:
         )
         assert code == 2
         assert "K" in err or "2" in err
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [(("--snr-high", "inf"), "snr_db_range"), (("--snr-low=-inf",), "snr_db_range"),
+         (("--seed", "-1"), "seed")],
+        ids=["snr-high-inf", "snr-low-minus-inf", "negative-seed"],
+    )
+    def test_rejects_non_finite_snr_or_negative_seed(self, tmp_path, capsys, flags, name):
+        path = tmp_path / "x.json"
+        code, _, err = run(
+            capsys, "gen", "--K", "2", "--M", "3", "--N", "2", *flags, "-o", str(path)
+        )
+        assert code == 2
+        assert name in err
+        assert not path.exists()
 
     def test_unwritable_output_fails(self, tmp_path, capsys):
         code, _, _ = run(
@@ -237,6 +254,60 @@ class TestSolve:
         code, _, err = run(capsys, "solve", "--instance", str(path))
         assert code == 0, err
 
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_infinite_weight_exits_2(self, tmp_path, capsys, algorithm):
+        path = tmp_path / "inst.json"
+        doc = {"K": 2, "M": 2, "N": 2, "weights": [float("inf"), 1.0], "Mk": [1, 1], "M0": 2,
+               "phi": np.ones((2, 2, 2)).tolist()}
+        path.write_text(json.dumps(doc))
+        assert "Infinity" in path.read_text()
+        code, out, err = run(capsys, "solve", "--instance", str(path), "--algorithm", algorithm)
+        assert code == 2
+        assert out == ""
+        assert "weights" in err
+
+    def test_report_keys_and_order(self, tmp_path, capsys):
+        """The report lists the algorithm, its WSU, the feasibility verdicts
+        and first violations, then the algorithm's run facts."""
+        path = write_instance(tmp_path, capsys)
+        verdicts = ["algorithm", "wsu", "feasible", "c1_ok", "c2_ok", "c3_ok", "consistency_ok",
+                    "c1_violation", "c2_violation", "c3_violation", "consistency_violation"]
+        facts = {
+            "sgpa": ["iterations_run", "converged", "active_carriers", "binary_distance"],
+            "greedy": ["within_caps"],
+            "heuristic": ["lp_pivots", "lp_bound_flips"],
+            "oracle": [],
+        }
+        for algorithm in ALGORITHMS:
+            code, out, _ = run(capsys, "solve", "--instance", str(path), "--algorithm", algorithm)
+            assert code == 0
+            assert list(json.loads(out)) == verdicts + facts[algorithm]
+
+    def test_trace_csv_rows_are_the_records(self, tmp_path, capsys):
+        """Each trace row is the matching record of an in-process solve: the
+        iteration, the ``repr`` of each float, and the held users joined by
+        ``;``. Users 2 and 3 earn nothing, so their rows are held."""
+        rng = np.random.default_rng(3)
+        phi = rng.uniform(0.1, 1.0, (4, 3, 2))
+        phi[2:] = 0.0
+        instance = make_instance(np.ones(4), phi, [1, 1, 1, 1], 2)
+        path = tmp_path / "inst.json"
+        path.write_text(instance.to_json())
+        trace = tmp_path / "trace.csv"
+        code, _, err = run(
+            capsys, "solve", "--instance", str(path), "--max-iterations", "200", "--trace", str(trace)
+        )
+        assert code == 0, err
+        records = solve(instance, SgpaConfig(max_iterations=200, record_trace=True)).trace
+        with open(trace, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [
+            [str(rec.iteration), repr(rec.relaxed_wsu), repr(rec.max_change),
+             repr(rec.sum_residual), ";".join(map(str, rec.zero_rate_ues))]
+            for rec in records
+        ]
+        assert {row[-1] for row in rows} == {"2;3"}
+
     def test_trace_csv_written(self, tmp_path, capsys):
         path = write_instance(tmp_path, capsys)
         trace = tmp_path / "trace.csv"
@@ -355,6 +426,11 @@ class TestSweep:
             ({**config, "oracle_budget": 0}, ["oracle_budget"]),
             ({**config, "algorithms": []}, ["algorithms"]),
             ({**config, "algorithms": ["sgpa", "sgpa"]}, ["algorithms"]),
+            ({**config, "gen": {**gen, "snr_db_range": [-10, float("inf")]}}, ["snr_db_range"]),
+            ({**config, "gen": {**gen, "snr_db_range": [float("-inf"), 20]}}, ["snr_db_range"]),
+            ({**config, "m_grid": []}, ["m_grid"]),
+            ({**config, "mk_grid": []}, ["mk_grid"]),
+            ({**config, "base_seed": -1}, ["base_seed"]),
         ):
             config_path = tmp_path / "sweep.json"
             config_path.write_text(json.dumps(broken))

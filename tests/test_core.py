@@ -17,19 +17,7 @@ from caralloc.core import (
     top_cap_indicator,
 )
 
-
-def make_instance(weights, phi, caps, m0):
-    phi = np.asarray(phi, dtype=float)
-    K, M, N = phi.shape
-    return ProblemInstance(
-        num_ues=K,
-        num_ccs=M,
-        num_rbs_per_cc=N,
-        weights=weights,
-        utilities=phi,
-        ue_cc_caps=caps,
-        system_cc_cap=m0,
-    )
+from helpers import make_instance
 
 
 def full_binary(instance):
@@ -50,6 +38,11 @@ class TestProblemInstance:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
             make_instance([0.0], [[[1.0]]], [1], 1)
+
+    @pytest.mark.parametrize("weight", [np.inf, np.nan])
+    def test_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            make_instance([weight, 1.0], np.ones((2, 2, 2)), [1, 1], 2)
 
     def test_rejects_negative_utility(self):
         with pytest.raises(ValueError):

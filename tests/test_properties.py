@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from caralloc.baselines import brute_force_oracle, greedy_unconstrained, heuristic_solve
+from caralloc.baselines import MAX_ENUMERATIONS
 from caralloc.core import ProblemInstance, check_feasibility, evaluate_wsu, round_allocation
 from caralloc.sgpa import SgpaConfig, solve
-from caralloc.simharness import GenParams, sample_instance
+from caralloc.simharness import ALGORITHMS, GenParams, sample_instance
 
 from helpers import permuted_instance
 
@@ -83,12 +83,6 @@ PERMUTATION_SHAPES = (
     (3, 3, 2, 3, 3),
 )
 
-WSU_ALGORITHMS = {
-    "oracle": lambda inst: brute_force_oracle(inst)[0],
-    "greedy": greedy_unconstrained,
-    "heuristic": heuristic_solve,
-}
-
 
 @st.composite
 def permuted_pairs(draw):
@@ -107,16 +101,19 @@ def permuted_pairs(draw):
 @settings(max_examples=100, deadline=None)
 @given(permuted_pairs())
 def test_algorithms_commute_with_index_permutations(case):
-    """Renumbering users and carriers leaves the oracle's, the greedy's and
-    the heuristic's WSU unchanged, and renumbers the solver's relaxed
+    """Renumbering users and carriers leaves the WSU of every algorithm in
+    the table but the solver unchanged, and renumbers the solver's relaxed
     iterate at 20 sweeps. The solver's WSU is not compared: its rounding
     breaks exact ties by index, and iterates of 0.0 and 9e-16 are a tie."""
     instance, permuted, ue_perm, cc_perm = case
-    for name, run in WSU_ALGORITHMS.items():
-        wsu = evaluate_wsu(instance, run(instance))
-        assert evaluate_wsu(permuted, run(permuted)) == pytest.approx(wsu, rel=1e-9), name
-
     config = SgpaConfig(max_iterations=20)
+    for name, run in ALGORITHMS.items():
+        if name == "sgpa":
+            continue  # compared by its relaxed iterate below
+        wsu = evaluate_wsu(instance, run(instance, config, MAX_ENUMERATIONS).allocation)
+        permuted_wsu = evaluate_wsu(permuted, run(permuted, config, MAX_ENUMERATIONS).allocation)
+        assert permuted_wsu == pytest.approx(wsu, rel=1e-9), name
+
     relaxed = solve(instance, config).relaxed
     relaxed_permuted = solve(permuted, config).relaxed
     rows = np.ix_(ue_perm, cc_perm)

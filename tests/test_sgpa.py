@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
-from caralloc.core import ProblemInstance, RelaxedAllocation, check_feasibility, evaluate_wsu, quantize
+from caralloc.core import (
+    RelaxedAllocation,
+    check_feasibility,
+    evaluate_relaxed_wsu,
+    evaluate_wsu,
+    quantize,
+)
 from caralloc.baselines import greedy_unconstrained
 from caralloc.sgpa import (
     DegenerateInstanceError,
     SgpaConfig,
     _sweep_scores,
     capped_simplex_normalize,
-    relaxed_wsu_trace,
     solve,
     update_alpha,
     update_beta,
@@ -19,23 +24,8 @@ from caralloc.sgpa import (
 )
 from caralloc.simharness import GenParams, sample_instance
 
-from helpers import alpha_rounding
-from test_acceptance import binary_distance
+from helpers import alpha_rounding, binary_distance, make_instance
 from test_golden import SHAPES, WEIGHT_MODES
-
-
-def make_instance(weights, phi, caps, m0):
-    phi = np.asarray(phi, dtype=float)
-    K, M, N = phi.shape
-    return ProblemInstance(
-        num_ues=K,
-        num_ccs=M,
-        num_rbs_per_cc=N,
-        weights=weights,
-        utilities=phi,
-        ue_cc_caps=caps,
-        system_cc_cap=m0,
-    )
 
 
 class TestConfig:
@@ -347,29 +337,32 @@ class TestTrace:
     def test_single_iteration_series(self):
         inst = make_instance([1.0], [[[2.0]]], [1], 1)
         result = solve(inst, SgpaConfig(max_iterations=1, record_trace=True))
-        series = relaxed_wsu_trace(result)
-        assert series == [(1, 2.0)]
+        assert [(rec.iteration, rec.relaxed_wsu) for rec in result.trace] == [(1, 2.0)]
 
     def test_fixed_point_series_is_constant(self):
         # With one user, one carrier and caps of 1, the uniform start is the
         # all-ones fixed point.
         inst = make_instance([1.0], [[[2.0]]], [1], 1)
         result = solve(inst, SgpaConfig(max_iterations=5, record_trace=True))
-        values = {wsu for _, wsu in relaxed_wsu_trace(result)}
-        assert values == {2.0}
+        assert {rec.relaxed_wsu for rec in result.trace} == {2.0}
 
-    def test_untraced_run_raises(self):
+    def test_untraced_run_raises(self, tmp_path):
+        """An untraced run carries no trace, and writing one is refused."""
         inst = make_instance([1.0], [[[2.0]]], [1], 1)
         result = solve(inst)
-        with pytest.raises(ValueError):
-            relaxed_wsu_trace(result)
+        assert result.trace is None
+        with pytest.raises(ValueError, match="without trace recording"):
+            write_trace_csv(result, tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
 
     def test_series_finite_on_random_instance(self):
+        """One record per sweep; the last record's objective is the
+        relaxed objective of the returned iterate."""
         inst = sample_instance(GenParams(K=4, M=5, N=4, ue_cc_cap=2, system_cc_cap_limit=3, seed=21))
         result = solve(inst, SgpaConfig(max_iterations=30, record_trace=True))
-        series = relaxed_wsu_trace(result)
-        assert len(series) == result.iterations_run
-        assert all(np.isfinite(wsu) for _, wsu in series)
+        assert [rec.iteration for rec in result.trace] == list(range(1, result.iterations_run + 1))
+        assert all(np.isfinite(rec.relaxed_wsu) for rec in result.trace)
+        assert result.trace[-1].relaxed_wsu == evaluate_relaxed_wsu(inst, result.relaxed)
 
     def test_csv_export(self, tmp_path):
         inst = sample_instance(GenParams(K=2, M=2, N=2, ue_cc_cap=1, system_cc_cap_limit=2, seed=0))

@@ -47,6 +47,15 @@ class TestGenParams:
         with pytest.raises(ValueError):
             small_params(snr_db_range=(5.0, 5.0))
 
+    @pytest.mark.parametrize("snr_db_range", [(-10.0, np.inf), (-np.inf, 20.0), (np.nan, 20.0)])
+    def test_rejects_non_finite_snr_range(self, snr_db_range):
+        with pytest.raises(ValueError, match="snr_db_range must be finite"):
+            small_params(snr_db_range=snr_db_range)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            small_params(seed=-1)
+
 
 class TestCapacityUtilities:
     def test_zero_gain_gives_zero_utility(self):
