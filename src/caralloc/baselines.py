@@ -4,7 +4,8 @@
 * a two-stage LP rounding heuristic of comparable cost to the iterative solver,
 * an exhaustive search over the maximal carrier activations and per-user
   carrier subsets (no smaller set can do better, since utilities are
-  nonnegative), exact on small instances and used as a test oracle.
+  nonnegative), exact on instances of at most ``MAX_ENUMERATIONS``
+  combinations and used as a test oracle.
 
 Each returns a ``BinaryAllocation`` (the oracle with its WSU);
 :data:`caralloc.simharness.ALGORITHMS` adds the WSU and the run facts.
@@ -40,22 +41,21 @@ __all__ = [
 ]
 
 
-#: Default cap on how many (activation set, carrier subsets) combinations
-#: the exhaustive search may evaluate.
+#: Most (activation set, carrier subsets) combinations the exhaustive search
+#: evaluates; larger instances are refused before any work.
 MAX_ENUMERATIONS = 10_000_000
 
 
 class BudgetExceededError(RuntimeError):
     """The exhaustive search needs ``required`` enumerations, more than
-    ``budget``; ``args`` is that pair, so the error pickles."""
+    :data:`MAX_ENUMERATIONS`; ``args`` is ``(required,)``, so the error pickles."""
 
-    def __init__(self, required: int, budget: int):
-        super().__init__(required, budget)
+    def __init__(self, required: int):
+        super().__init__(required)
         self.required = required
-        self.budget = budget
 
     def __str__(self) -> str:
-        return f"exhaustive search needs {self.required} enumerations, budget allows {self.budget}"
+        return f"exhaustive search needs {self.required} enumerations, budget allows {MAX_ENUMERATIONS}"
 
 
 def _used_allocation(alpha: np.ndarray) -> BinaryAllocation:
@@ -155,9 +155,7 @@ def oracle_enumeration_count(num_ccs: int, caps, system_cap: int) -> int:
     return math.comb(num_ccs, size) * math.prod(per_ue)
 
 
-def brute_force_oracle(
-    instance: ProblemInstance, budget: int = MAX_ENUMERATIONS
-) -> Tuple[BinaryAllocation, float]:
+def brute_force_oracle(instance: ProblemInstance) -> Tuple[BinaryAllocation, float]:
     """Exact optimum by exhaustive enumeration of the maximal carrier sets.
 
     Utilities are nonnegative and weights positive, so activating one more
@@ -172,16 +170,14 @@ def brute_force_oracle(
     The first combination with the largest value wins; the returned
     allocation keeps only the admissions and activations its blocks use.
     Before any work, raises BudgetExceededError if the count of
-    :func:`oracle_enumeration_count` exceeds ``budget`` (ValueError if the
-    budget is below 1); a sweep skips its oracle rows on that error.
+    :func:`oracle_enumeration_count` exceeds :data:`MAX_ENUMERATIONS`; a
+    sweep skips its oracle rows on that error.
     """
-    if budget < 1:
-        raise ValueError(f"oracle budget must be >= 1, not {budget}")
     required = oracle_enumeration_count(
         instance.num_ccs, instance.ue_cc_caps, instance.system_cc_cap
     )
-    if required > budget:
-        raise BudgetExceededError(required, budget)
+    if required > MAX_ENUMERATIONS:
+        raise BudgetExceededError(required)
 
     K, M, size = instance.num_ues, instance.num_ccs, instance.system_cc_cap
     weighted = instance.weighted_utilities

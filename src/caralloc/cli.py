@@ -6,8 +6,8 @@ prints the run's facts. Comparing algorithms against the exhaustive oracle
 is a sweep with "oracle" among its algorithms. Structured output is JSON on
 stdout, tabular output is CSV files. Exit codes: 0 on success, 2 for
 usage/config/file problems, 3 when an algorithm emitted an allocation that
-fails its own feasibility guarantee, 4 when the exhaustive search budget is
-exceeded.
+fails its own feasibility guarantee, 4 when the exhaustive search would need
+more than ``baselines.MAX_ENUMERATIONS`` enumerations.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ import json
 import sys
 from dataclasses import replace
 
-from .baselines import MAX_ENUMERATIONS, BudgetExceededError
+from .baselines import BudgetExceededError
 from .core import ProblemInstance, check_feasibility
 from .sgpa import SgpaConfig, write_trace_csv
 from .simharness import (
     ALGORITHMS,
+    WEIGHT_MODES,
     GenParams,
     SweepConfig,
     fig1_experiment,
@@ -38,38 +39,6 @@ EXIT_INVARIANT = 3
 EXIT_BUDGET = 4
 
 
-def _add_gen_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--K", type=int, required=True, help="number of users (>= 2)")
-    parser.add_argument("--M", type=int, required=True, help="number of carriers (>= 2)")
-    parser.add_argument("--N", type=int, required=True, help="blocks per carrier (>= 2)")
-    parser.add_argument("--Mk", type=int, default=1, help="per-user carrier cap")
-    parser.add_argument(
-        "--M0-limit", type=int, default=None,
-        help="system carrier cap limit (effective cap is min(M, limit); default M)",
-    )
-    parser.add_argument("--snr-low", type=float, default=-10.0, help="SNR range low (dB)")
-    parser.add_argument("--snr-high", type=float, default=20.0, help="SNR range high (dB)")
-    parser.add_argument(
-        "--weights", choices=["equal", "uniform_simplex"], default="equal",
-        help="user weight mode",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="generator seed")
-
-
-def _gen_params(args) -> GenParams:
-    limit = args.M0_limit if args.M0_limit is not None else args.M
-    return GenParams(
-        K=args.K,
-        M=args.M,
-        N=args.N,
-        ue_cc_cap=args.Mk,
-        system_cc_cap_limit=limit,
-        snr_db_range=(args.snr_low, args.snr_high),
-        weight_mode=args.weights,
-        seed=args.seed,
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="caralloc",
@@ -78,7 +47,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a random instance JSON file")
-    _add_gen_flags(p_gen)
+    p_gen.add_argument("--K", type=int, required=True, help="number of users (>= 2)")
+    p_gen.add_argument("--M", type=int, required=True, help="number of carriers (>= 2)")
+    p_gen.add_argument("--N", type=int, required=True, help="blocks per carrier (>= 2)")
+    p_gen.add_argument("--Mk", type=int, default=1, help="per-user carrier cap")
+    p_gen.add_argument(
+        "--M0-limit", type=int, default=None,
+        help="system carrier cap limit (effective cap is min(M, limit); default M)",
+    )
+    low, high = GenParams.snr_db_range
+    p_gen.add_argument("--snr-low", type=float, default=low, help="SNR range low (dB)")
+    p_gen.add_argument("--snr-high", type=float, default=high, help="SNR range high (dB)")
+    p_gen.add_argument(
+        "--weights", choices=WEIGHT_MODES, default=GenParams.weight_mode, help="user weight mode"
+    )
+    p_gen.add_argument("--seed", type=int, default=GenParams.seed, help="generator seed")
     p_gen.add_argument("-o", "--output", required=True, help="instance JSON path")
 
     p_solve = sub.add_parser("solve", help="solve an instance file with one algorithm")
@@ -86,9 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--algorithm", choices=list(ALGORITHMS), default="sgpa")
     p_solve.add_argument("--max-iterations", type=int, default=SgpaConfig.max_iterations)
     p_solve.add_argument("--trace", default=None, help="write sgpa's per-iteration trace CSV here")
-    p_solve.add_argument(
-        "--budget", type=int, default=MAX_ENUMERATIONS, help="oracle enumeration budget"
-    )
     p_solve.add_argument("--allocation-out", default=None, help="write the allocation JSON here")
 
     p_sweep = sub.add_parser("sweep", help="run a Monte-Carlo sweep from a JSON config")
@@ -107,7 +87,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen(args) -> int:
-    params = _gen_params(args)
+    limit = args.M0_limit if args.M0_limit is not None else args.M
+    params = GenParams(
+        K=args.K,
+        M=args.M,
+        N=args.N,
+        ue_cc_cap=args.Mk,
+        system_cc_cap_limit=limit,
+        snr_db_range=(args.snr_low, args.snr_high),
+        weight_mode=args.weights,
+        seed=args.seed,
+    )
     instance = sample_instance(params)
     with open(args.output, "w") as fh:
         fh.write(instance.to_json())
@@ -121,14 +111,12 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     # Every flag is checked, whichever algorithm reads it.
     config = SgpaConfig(max_iterations=args.max_iterations, record_trace=args.trace is not None)
-    if args.budget < 1:
-        raise ValueError(f"oracle budget must be >= 1, not {args.budget}")
     if args.trace is not None and args.algorithm != "sgpa":
         raise ValueError(f"--trace: algorithm {args.algorithm} records no trace")
     with open(args.instance) as fh:
         instance = ProblemInstance.from_json(fh.read())
 
-    run = ALGORITHMS[args.algorithm](instance, config, args.budget)
+    run = ALGORITHMS[args.algorithm](instance, config)
     if args.trace is not None:
         write_trace_csv(run, args.trace)
     feasibility = check_feasibility(instance, run.allocation)

@@ -82,9 +82,10 @@ def check_document(doc, spec, what: str) -> dict:
     """A copy of the parsed JSON ``doc``, after checking that it is an object
     with no unknown key, every required one, and the JSON type each field's
     annotation asks for (see :func:`_json_mismatch`); ValueError naming the
-    culprit if not. ``spec`` is a dict of keys, all required, to annotations
-    spelled as a dataclass spells them, or a dataclass, whose fields without
-    a default are required."""
+    culprit if not. Every ``Tuple[...]`` field, ``Optional`` or not, holds a
+    tuple of its array's items. ``spec`` is a dict of keys, all required, to
+    annotations spelled as a dataclass spells them, or a dataclass, whose
+    fields without a default are required."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
     known = required = annotations = spec
@@ -100,11 +101,15 @@ def check_document(doc, spec, what: str) -> dict:
     missing = [name for name in required if name not in doc]
     if missing:
         raise ValueError(f"missing {what} fields: {missing}")
+    doc = dict(doc)
     for name, annotation in annotations.items():
-        expected = _json_mismatch(annotation, doc[name]) if name in doc else None
+        value = doc.get(name)
+        expected = _json_mismatch(annotation, value) if name in doc else None
         if expected:
-            raise ValueError(f"{what} field {name!r} must be a {expected}, not {doc[name]!r}")
-    return dict(doc)
+            raise ValueError(f"{what} field {name!r} must be a {expected}, not {value!r}")
+        if "Tuple[" in annotation and value is not None:
+            doc[name] = tuple(value)
+    return doc
 
 
 def _frozen_array(values, dtype) -> np.ndarray:

@@ -59,32 +59,32 @@ class Run:
     trace: Optional[List[IterationRecord]] = None
 
 
-def _run_sgpa(instance: ProblemInstance, sgpa: SgpaConfig, budget: int) -> Run:
+def _run_sgpa(instance: ProblemInstance, sgpa: SgpaConfig) -> Run:
     result = solve(instance, sgpa)
     names = ("iterations_run", "converged", "active_carriers", "binary_distance")
     facts = {name: getattr(result, name) for name in names}
     return Run(result.binary, result.wsu, facts, result.trace)
 
 
-def _run_greedy(instance: ProblemInstance, sgpa: SgpaConfig, budget: int) -> Run:
+def _run_greedy(instance: ProblemInstance, sgpa: SgpaConfig) -> Run:
     allocation = greedy_unconstrained(instance)
     return Run(allocation, evaluate_wsu(instance, allocation))
 
 
-def _run_heuristic(instance: ProblemInstance, sgpa: SgpaConfig, budget: int) -> Run:
+def _run_heuristic(instance: ProblemInstance, sgpa: SgpaConfig) -> Run:
     result = heuristic_run(instance)
     facts = {"lp_pivots": result.lp.pivots, "lp_bound_flips": result.lp.bound_flips}
     return Run(result.allocation, evaluate_wsu(instance, result.allocation), facts)
 
 
-def _run_oracle(instance: ProblemInstance, sgpa: SgpaConfig, budget: int) -> Run:
-    return Run(*brute_force_oracle(instance, budget))
+def _run_oracle(instance: ProblemInstance, sgpa: SgpaConfig) -> Run:
+    return Run(*brute_force_oracle(instance))
 
 
-#: Every algorithm as a call from (instance, solver config, oracle budget) to
-#: its :class:`Run`: the one way ``caralloc solve`` and :func:`run_sweep` run
-#: an algorithm.
-ALGORITHMS: Dict[str, Callable[[ProblemInstance, SgpaConfig, int], Run]] = {
+#: Every algorithm as a call from (instance, solver config) to its
+#: :class:`Run`: the one way ``caralloc solve`` and :func:`run_sweep` run an
+#: algorithm.
+ALGORITHMS: Dict[str, Callable[[ProblemInstance, SgpaConfig], Run]] = {
     "sgpa": _run_sgpa,
     "greedy": _run_greedy,
     "heuristic": _run_heuristic,
@@ -93,6 +93,13 @@ ALGORITHMS: Dict[str, Callable[[ProblemInstance, SgpaConfig, int], Run]] = {
 
 #: Smallest kept/dropped rate ratio r[M_k-1] / r[M_k] that fig1_experiment accepts.
 FIG1_MIN_RATE_RATIO = 1.25
+#: Most rate draws fig1_experiment makes before it gives up on that ratio.
+FIG1_MAX_DRAWS = 100_000
+
+#: The user weight modes of :class:`GenParams`.
+WEIGHT_MODES = ("equal", "uniform_simplex")
+#: Largest SNR magnitude in dB: a linear SNR of at most 1e100 keeps utilities finite.
+MAX_SNR_DB = 1000.0
 
 CSV_HEADER = ["algorithm", "M", "Mk", "M0", "trials",
               "mean_wsu", "stderr_wsu", "mean_solve_seconds", "above_oracle"]
@@ -134,8 +141,10 @@ class GenParams:
         low, high = self.snr_db_range
         if not (np.isfinite(low) and np.isfinite(high) and low < high):
             raise ValueError("snr_db_range must be finite and satisfy low < high")
-        if self.weight_mode not in ("equal", "uniform_simplex"):
-            raise ValueError('weight_mode must be "equal" or "uniform_simplex"')
+        if max(abs(low), abs(high)) > MAX_SNR_DB:
+            raise ValueError(f"snr_db_range must lie within +-{MAX_SNR_DB:g} dB, not {(low, high)}")
+        if self.weight_mode not in WEIGHT_MODES:
+            raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}, not {self.weight_mode!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
 
@@ -145,12 +154,7 @@ class GenParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GenParams":
-        doc = check_document(doc, cls, "instance family")
-        if "snr_db_range" in doc:
-            doc["snr_db_range"] = tuple(doc["snr_db_range"])
-        if "stream_key" in doc:
-            doc["stream_key"] = tuple(doc["stream_key"])
-        return cls(**doc)
+        return cls(**check_document(doc, cls, "instance family"))
 
 
 def capacity_utilities(gains: np.ndarray, snr_db: np.ndarray, num_rbs: int) -> np.ndarray:
@@ -201,9 +205,10 @@ class SweepConfig:
     """One Monte-Carlo experiment: algorithms x grid x trials.
 
     The grid is the cartesian product of ``m_grid`` and ``mk_grid`` (each
-    defaulting to the template's single value), walked M-major. Trial t of
-    grid point g draws its instance from stream (base_seed, g, t); all
-    algorithms see the same instance.
+    defaulting to the template's single value), walked M-major, and every
+    point is checked when the config is built. Trial t of grid point g draws
+    its instance from stream (base_seed, g, t); all algorithms see the same
+    instance.
     """
 
     algorithms: Tuple[str, ...]
@@ -213,7 +218,6 @@ class SweepConfig:
     m_grid: Optional[Tuple[int, ...]] = None
     mk_grid: Optional[Tuple[int, ...]] = None
     sgpa: SgpaConfig = field(default_factory=SgpaConfig)
-    oracle_budget: int = MAX_ENUMERATIONS
     jobs: int = 1
 
     def __post_init__(self):
@@ -221,8 +225,6 @@ class SweepConfig:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.oracle_budget < 1:
-            raise ValueError("oracle_budget must be >= 1")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, not {self.base_seed}")
         for name in ("m_grid", "mk_grid"):
@@ -233,16 +235,18 @@ class SweepConfig:
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}; pick from {tuple(ALGORITHMS)}")
+        self.grid_points()
 
-    def grid_points(self) -> List[Tuple[int, int, int]]:
-        ms = tuple(self.m_grid) if self.m_grid else (self.gen.M,)
-        mks = tuple(self.mk_grid) if self.mk_grid else (self.gen.ue_cc_cap,)
+    def grid_points(self) -> List[GenParams]:
+        """Each grid point's instance family, M-major; ValueError naming the
+        point if the template does not take its M and Mk."""
         points = []
-        index = 0
-        for m in ms:
-            for mk in mks:
-                points.append((index, int(m), int(mk)))
-                index += 1
+        for m in self.m_grid or (self.gen.M,):
+            for mk in self.mk_grid or (self.gen.ue_cc_cap,):
+                try:
+                    points.append(replace(self.gen, M=m, ue_cc_cap=mk))
+                except ValueError as exc:
+                    raise ValueError(f"m_grid/mk_grid point M={m}, Mk={mk}: {exc}") from None
         return points
 
     @classmethod
@@ -250,15 +254,10 @@ class SweepConfig:
         """The config of a parsed JSON document; like a malformed field, one
         that the sweep overrides or whose output it drops is a ValueError."""
         doc = check_document(doc, cls, "sweep config")
-        doc["algorithms"] = tuple(doc["algorithms"])
         gen, doc["gen"] = doc["gen"], GenParams.from_dict(doc["gen"])
         for name in ("seed", "stream_key"):
             if name in gen:
                 raise ValueError(f"sweep config field 'gen.{name}' is set by the sweep")
-        if doc.get("m_grid") is not None:
-            doc["m_grid"] = tuple(doc["m_grid"])
-        if doc.get("mk_grid") is not None:
-            doc["mk_grid"] = tuple(doc["mk_grid"])
         if "sgpa" in doc:
             doc["sgpa"] = SgpaConfig.from_dict(doc["sgpa"])
             if doc["sgpa"].record_trace:
@@ -287,26 +286,20 @@ class ResultRow:
 
 
 def _run_trial(args) -> dict:
-    """One grid trial: sample the instance once, run every algorithm on it.
-    Each maps to (wsu, seconds), or to a skip reason when the oracle's budget refuses."""
-    config, grid_index, m, mk, trial_index = args
-    params = replace(
-        config.gen,
-        M=m,
-        ue_cc_cap=mk,
-        seed=config.base_seed,
-        stream_key=(grid_index, trial_index),
+    """One grid trial: sample the point's instance once, run every algorithm
+    on it. Each maps to (wsu, seconds), or to a skip reason when the oracle refuses."""
+    config, grid_index, point, trial_index = args
+    instance = sample_instance(
+        replace(point, seed=config.base_seed, stream_key=(grid_index, trial_index))
     )
-    instance = sample_instance(params)
     out = {}
     for algorithm in config.algorithms:
         start = time.perf_counter()
         try:
-            wsu = ALGORITHMS[algorithm](instance, config.sgpa, config.oracle_budget).wsu
+            wsu = ALGORITHMS[algorithm](instance, config.sgpa).wsu
+            out[algorithm] = (wsu, time.perf_counter() - start)
         except BudgetExceededError as exc:
-            out[algorithm] = f"needs {exc.required} enumerations, budget {exc.budget}"
-            continue
-        out[algorithm] = (wsu, time.perf_counter() - start)
+            out[algorithm] = f"needs {exc.required} enumerations, budget {MAX_ENUMERATIONS}"
     return out
 
 
@@ -315,7 +308,7 @@ def run_sweep(config: SweepConfig) -> List[ResultRow]:
 
     Deterministic apart from the timing column. Every trial runs every
     algorithm; where :func:`~caralloc.baselines.brute_force_oracle` refuses a
-    grid point's instances for the budget (its enumeration count depends
+    grid point's instances as too large (its enumeration count depends
     only on M, Mk and M0, so it refuses all of them or none), the point's
     oracle row is marked skipped and comes after its other rows. Where the
     oracle ran, every other row counts in ``above_oracle`` the trials whose
@@ -324,8 +317,8 @@ def run_sweep(config: SweepConfig) -> List[ResultRow]:
     """
     points = config.grid_points()
     tasks = [
-        (config, grid_index, m, mk, trial_index)
-        for grid_index, m, mk in points
+        (config, grid_index, point, trial_index)
+        for grid_index, point in enumerate(points)
         for trial_index in range(config.trials)
     ]
 
@@ -338,8 +331,8 @@ def run_sweep(config: SweepConfig) -> List[ResultRow]:
         results = [_run_trial(task) for task in tasks]
 
     rows: List[ResultRow] = []
-    for grid_index, m, mk in points:
-        m0 = min(m, config.gen.system_cc_cap_limit)
+    for grid_index, point in enumerate(points):
+        m, mk, m0 = point.M, point.ue_cc_cap, point.effective_system_cap
         trial_results = results[grid_index * config.trials : (grid_index + 1) * config.trials]
         first = trial_results[0]
         skips = {name: first[name] for name in config.algorithms if isinstance(first[name], str)}
@@ -414,7 +407,9 @@ def fig1_experiment(M: int, M_k: int, iterations: int, seed: int) -> np.ndarray:
 
     The number of iterations needed to resolve the boundary between kept and
     dropped carriers grows like 1 / log(r[M_k-1] / r[M_k]), so draws are
-    rejected until that ratio reaches ``FIG1_MIN_RATE_RATIO``.
+    rejected until that ratio reaches ``FIG1_MIN_RATE_RATIO``; ValueError if
+    none of ``FIG1_MAX_DRAWS`` draws does (the chance of a passing draw falls
+    exponentially as M grows at M_k = M / 2).
     """
     if not M >= M_k >= 1:
         raise ValueError("need M >= M_k >= 1")
@@ -422,12 +417,13 @@ def fig1_experiment(M: int, M_k: int, iterations: int, seed: int) -> np.ndarray:
         raise ValueError("iterations must be >= 0")
     rng = _rng(seed)
 
-    while True:
+    for _ in range(FIG1_MAX_DRAWS):
         rates = np.sort(rng.exponential(1.0, size=M))[::-1]
-        if M_k == M or rates[M_k] == 0:
+        if M_k == M or rates[M_k] == 0 or rates[M_k - 1] / rates[M_k] >= FIG1_MIN_RATE_RATIO:
             break
-        if rates[M_k - 1] / rates[M_k] >= FIG1_MIN_RATE_RATIO:
-            break
+    else:
+        raise ValueError(f"no rate draw in {FIG1_MAX_DRAWS} has r[Mk-1] / r[Mk] >= "
+                         f"{FIG1_MIN_RATE_RATIO} at M={M}, Mk={M_k}")
 
     start = capped_simplex_normalize(rng.uniform(0.5, 1.5, size=M), M_k).x
     trajectory = np.empty((iterations + 1, M))

@@ -7,7 +7,8 @@ breakpoint scan that handles one score vector at a time; small LPs are
 solved by enumerating candidate vertices, the heuristic's carrier-selection
 LP has a reference formulation with explicit product variables, the
 exhaustive oracle has a reference that walks every carrier set of every
-size, and the solver's rounding is compared with the former rule that gave
+size, the exact optimum beyond the oracle's reach comes from an integer
+program solved by scipy's HiGHS, and the solver's rounding is compared with the former rule that gave
 each block to the admitted user with the largest relaxed share. It also
 holds the small builders and measures that several test modules share.
 """
@@ -16,6 +17,8 @@ import itertools
 import math
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from caralloc.core import (
     BinaryAllocation,
@@ -298,3 +301,43 @@ def alpha_rounding(instance, relaxed):
     alpha = np.zeros(relaxed.alpha.shape, dtype=np.int8)
     np.put_along_axis(alpha, winners[None], admitted.any(axis=0)[None, :, None], axis=0)
     return BinaryAllocation(alpha, beta, gamma)
+
+
+def milp_optimum(instance):
+    """Exact optimum WSU by HiGHS's branch and bound (``scipy.optimize.milp``).
+
+    Variables are [alpha (K*M*N), beta (K*M), gamma (M)], all in [0, 1], with
+    beta and gamma binary. Maximize sum w_k phi[k, m, n] alpha[k, m, n] over
+    the rows: every block's shares sum to at most gamma[m], alpha <= beta,
+    beta <= gamma, each user's admissions stay within its cap, and the
+    activations within the system cap. alpha may stay continuous: once beta
+    and gamma are fixed, each block's rows are a simplex over its admitted
+    users, so some optimum is integral. The value is read back from the
+    rounded beta and gamma: every active carrier's blocks go to their
+    admitted user with the largest weighted utility.
+    """
+    K, M, N = instance.num_ues, instance.num_ccs, instance.num_rbs_per_cc
+    weighted = instance.weighted_utilities
+    eye, kron, ones = sparse.identity, sparse.kron, np.ones
+    A = sparse.bmat([
+        [kron(ones((1, K)), eye(M * N)), None, -kron(eye(M), ones((N, 1)))],
+        [eye(K * M * N), -kron(eye(K * M), ones((N, 1))), None],
+        [None, eye(K * M), -kron(ones((K, 1)), eye(M))],
+        [None, kron(eye(K), ones((1, M))), None],
+        [None, None, ones((1, M))],
+    ])
+    zeros = np.zeros(M * N + K * M * N + K * M)
+    upper = np.concatenate([zeros, instance.ue_cc_caps, [instance.system_cc_cap]])
+    binary = np.concatenate([np.zeros(K * M * N), np.ones(K * M + M)])
+    objective = np.concatenate([-weighted.ravel(), np.zeros(K * M + M)])
+    result = milp(
+        objective, constraints=LinearConstraint(A, -np.inf, upper), integrality=binary,
+        bounds=Bounds(0.0, 1.0), options={"mip_rel_gap": 0.0},
+    )
+    assert result.status == 0, result.message
+    beta = result.x[K * M * N : -M].round().reshape(K, M) == 1
+    gamma = result.x[-M:].round() == 1
+    admitted = beta & gamma
+    assert np.all(admitted.sum(axis=1) <= instance.ue_cc_caps)
+    assert gamma.sum() <= instance.system_cc_cap
+    return float(np.where(admitted[:, :, None], weighted, 0.0).max(axis=0).sum())

@@ -17,7 +17,7 @@ from caralloc.core import check_feasibility, evaluate_wsu
 from caralloc.sgpa import SgpaConfig, solve
 from caralloc.simharness import ALGORITHMS, GenParams, sample_instance
 
-from helpers import make_instance, reference_oracle
+from helpers import make_instance, milp_optimum, reference_oracle
 from test_acceptance import criterion_9_draws
 
 
@@ -117,18 +117,21 @@ class TestOracle:
         assert oracle_enumeration_count(3, [1, 1], 2) == 12
 
     def test_budget_guard(self):
+        # C(30, 15) activation sets * 15**2 user subsets = 3.5e10 enumerations.
         inst = sample_instance(
-            GenParams(K=4, M=6, N=2, ue_cc_cap=3, system_cc_cap_limit=6, seed=0)
+            GenParams(K=2, M=30, N=2, ue_cc_cap=1, system_cc_cap_limit=15, seed=0)
         )
         with pytest.raises(BudgetExceededError) as err:
-            brute_force_oracle(inst, 10)
-        assert err.value.required == oracle_enumeration_count(6, [3] * 4, 6)
+            brute_force_oracle(inst)
+        assert err.value.required == oracle_enumeration_count(30, [1, 1], 15) > MAX_ENUMERATIONS
 
     def test_budget_error_survives_pickling(self):
-        error = BudgetExceededError(120, 10)
+        error = BudgetExceededError(34901442000)
         copy = pickle.loads(pickle.dumps(error))
-        assert (copy.required, copy.budget) == (120, 10)
-        assert str(copy) == str(error) == "exhaustive search needs 120 enumerations, budget allows 10"
+        assert copy.required == 34901442000
+        assert str(copy) == str(error) == (
+            "exhaustive search needs 34901442000 enumerations, budget allows 10000000"
+        )
 
     def test_monotone_in_caps(self):
         for seed in range(10):
@@ -173,6 +176,39 @@ class TestOracle:
             assert evaluate_wsu(inst, heuristic_solve(inst)) <= wsu + 1e-9
 
 
+class TestMilpReference:
+    def test_equals_the_oracle(self):
+        for seed in range(20):
+            inst = sample_instance(
+                GenParams(K=4, M=6, N=4, ue_cc_cap=2, system_cc_cap_limit=3, seed=seed)
+            )
+            assert milp_optimum(inst) == pytest.approx(brute_force_oracle(inst)[1], rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "shape, within_caps",
+        [(dict(K=10, M=20, N=20, ue_cc_cap=2, system_cc_cap_limit=10), 0),
+         (dict(K=40, M=12, N=2, ue_cc_cap=2, system_cc_cap_limit=12), 3)],
+        ids=["M20-N20", "K40-N2"],
+    )
+    def test_bounds_every_algorithm_beyond_the_oracle(self, shape, within_caps):
+        """Where the exhaustive search refuses, no algorithm beats the
+        optimum; a greedy allocation within the caps is optimal, since the
+        greedy is optimal without them. ``within_caps`` counts those draws."""
+        greedy_within_caps = 0
+        for seed in range(6):
+            inst = sample_instance(GenParams(**shape, seed=seed))
+            with pytest.raises(BudgetExceededError):
+                brute_force_oracle(inst)
+            optimum = milp_optimum(inst)
+            assert solve(inst).wsu <= optimum * (1 + 1e-12)
+            assert evaluate_wsu(inst, heuristic_solve(inst)) <= optimum * (1 + 1e-12)
+            greedy = greedy_unconstrained(inst)
+            if check_feasibility(inst, greedy).ok:
+                assert evaluate_wsu(inst, greedy) == pytest.approx(optimum, rel=1e-12, abs=0)
+                greedy_within_caps += 1
+        assert greedy_within_caps == within_caps
+
+
 @pytest.mark.parametrize("scale", [2.0**-40, 2.0**40])
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_allocation_invariant_to_utility_scale(algorithm, scale):
@@ -180,7 +216,7 @@ def test_allocation_invariant_to_utility_scale(algorithm, scale):
     point, so every algorithm must return the very same allocation."""
 
     def run(instance):
-        return ALGORITHMS[algorithm](instance, SgpaConfig(), MAX_ENUMERATIONS).allocation
+        return ALGORITHMS[algorithm](instance, SgpaConfig()).allocation
 
     for trial in range(20):
         inst = sample_instance(

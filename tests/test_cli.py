@@ -1,18 +1,21 @@
 """Command-line interface: exit codes, file formats, determinism."""
 
+import argparse
 import csv
 import json
+import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from caralloc import baselines
-from caralloc.baselines import MAX_ENUMERATIONS, _carrier_selection_lp
+from caralloc.baselines import _carrier_selection_lp
 from caralloc.cli import build_parser, main
 from caralloc.core import BinaryAllocation, ProblemInstance
 from caralloc.lp import solve_lp
 from caralloc.sgpa import SgpaConfig, solve
-from caralloc.simharness import ALGORITHMS, fig1_experiment
+from caralloc.simharness import ALGORITHMS, WEIGHT_MODES, GenParams, SweepConfig, fig1_experiment
 
 from helpers import make_instance
 
@@ -23,9 +26,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def write_instance(tmp_path, capsys, name="inst.json", **flags):
+#: Overrides of :func:`write_instance`'s flags for K=2, M=30, N=2, Mk=1,
+#: M0=15: C(30, 15) * 15**2 = 3.5e10 enumerations, too many for the oracle.
+OVER_THE_ORACLE_LIMIT = ("--M", "30", "--M0-limit", "15")
+
+
+def write_instance(tmp_path, capsys, *flags, name="inst.json"):
+    """K=2, M=3, N=2, Mk=1, M0=2 and seed 7; later ``flags`` override these."""
     args = ["gen", "--K", "2", "--M", "3", "--N", "2", "--Mk", "1",
-            "--M0-limit", "2", "--seed", "7", "-o", str(tmp_path / name)]
+            "--M0-limit", "2", "--seed", "7", *flags, "-o", str(tmp_path / name)]
     code, out, err = run(capsys, *args)
     assert code == 0, err
     return tmp_path / name
@@ -65,6 +74,21 @@ class TestGen:
         )
         assert code == 2
         assert name in err
+        assert not path.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "dims, snr",
+        [(("2", "3", "2"), ("--snr-high", "1e308")),
+         (("10", "10", "20"), ("--snr-low", "3079", "--snr-high", "3080"))],
+        ids=["overflow-in-power", "overflow-in-product"],
+    )
+    def test_rejects_snr_that_overflows(self, tmp_path, capsys, dims, snr):
+        path = tmp_path / "x.json"
+        K, M, N = dims
+        code, _, err = run(capsys, "gen", "--K", K, "--M", M, "--N", N, *snr, "-o", str(path))
+        assert code == 2
+        assert "snr_db_range" in err
         assert not path.exists()
 
     def test_unwritable_output_fails(self, tmp_path, capsys):
@@ -129,34 +153,26 @@ class TestSolve:
         assert wsus["heuristic"] <= wsus["oracle"] + 1e-9
 
     def test_oracle_budget_exit_code(self, tmp_path, capsys):
-        path = write_instance(tmp_path, capsys)
-        code, _, err = run(
-            capsys, "solve", "--instance", str(path), "--algorithm", "oracle",
-            "--budget", "3",
-        )
+        """An instance over the oracle's limit is refused before any work."""
+        path = write_instance(tmp_path, capsys, *OVER_THE_ORACLE_LIMIT)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "solve", "--instance", str(path), "--algorithm", "oracle")
+        assert time.perf_counter() - start < 5.0
         assert code == 4
-        assert "budget" in err
-
-    def test_zero_budget_exits_2(self, tmp_path, capsys):
-        path = write_instance(tmp_path, capsys)
-        code, _, err = run(
-            capsys, "solve", "--instance", str(path), "--algorithm", "oracle", "--budget", "0"
+        assert out == ""
+        assert err == (
+            "error: exhaustive search needs 34901442000 enumerations, budget allows 10000000\n"
         )
-        assert code == 2
-        assert "budget" in err
 
     def test_flags_of_other_algorithms_are_checked(self, tmp_path, capsys):
         path = write_instance(tmp_path, capsys)
-        for algorithm, flag, value, name in (
-            ("heuristic", "--max-iterations", "0", "max_iterations"),
-            ("sgpa", "--budget", "0", "budget"),
-        ):
-            code, out, err = run(
-                capsys, "solve", "--instance", str(path), "--algorithm", algorithm, flag, value
-            )
-            assert code == 2
-            assert out == ""
-            assert name in err
+        code, out, err = run(
+            capsys, "solve", "--instance", str(path), "--algorithm", "heuristic",
+            "--max-iterations", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "max_iterations" in err
 
     def test_greedy_reports_whether_it_kept_the_caps(self, tmp_path, capsys):
         # With Mk = M0 = M every cap is slack; with Mk = 1 the greedy hands
@@ -181,28 +197,35 @@ class TestSolve:
         assert list(ALGORITHMS) == ["sgpa", "greedy", "heuristic", "oracle"]
 
     @pytest.mark.parametrize(
-        "algorithm, flags",
-        [("greedy", ()), ("heuristic", ()), ("oracle", ()), ("oracle", ("--budget", "1"))],
+        "algorithm, gen_flags",
+        [("greedy", ()), ("heuristic", ()), ("oracle", ()), ("oracle", OVER_THE_ORACLE_LIMIT)],
         ids=["greedy", "heuristic", "oracle", "oracle-over-budget"],
     )
-    def test_trace_with_another_algorithm_exits_2(self, tmp_path, capsys, algorithm, flags):
+    def test_trace_with_another_algorithm_exits_2(self, tmp_path, capsys, algorithm, gen_flags):
         """Only the solver records a trace, so ``--trace`` with any other
-        algorithm is refused before the run: with a budget of 1 the oracle
-        would otherwise stop with exit 4."""
-        path = write_instance(tmp_path, capsys)
+        algorithm is refused before the run: on an instance over its limit
+        the oracle would otherwise stop with exit 4."""
+        path = write_instance(tmp_path, capsys, *gen_flags)
         trace = tmp_path / "trace.csv"
         code, _, err = run(
             capsys, "solve", "--instance", str(path), "--algorithm", algorithm,
-            "--trace", str(trace), *flags,
+            "--trace", str(trace),
         )
         assert code == 2
         assert "--trace" in err
         assert not trace.exists()
 
     def test_solver_flag_defaults_are_the_config_defaults(self):
-        args = build_parser().parse_args(["solve", "--instance", "inst.json"])
+        parser = build_parser()
+        args = parser.parse_args(["solve", "--instance", "inst.json"])
         assert args.max_iterations == SgpaConfig().max_iterations
-        assert args.budget == MAX_ENUMERATIONS
+        args = parser.parse_args(["gen", "--K", "2", "--M", "3", "--N", "2", "-o", "x.json"])
+        defaults = GenParams(K=2, M=3, N=2, ue_cc_cap=1, system_cc_cap_limit=3)
+        assert (args.snr_low, args.snr_high) == defaults.snr_db_range
+        assert args.weights == defaults.weight_mode
+        assert args.seed == defaults.seed
+        weights = next(a for a in subcommands(parser)["gen"]._actions if a.dest == "weights")
+        assert tuple(weights.choices) == WEIGHT_MODES
 
     def test_missing_instance_file(self, tmp_path, capsys):
         code, _, _ = run(capsys, "solve", "--instance", str(tmp_path / "nope.json"))
@@ -406,8 +429,7 @@ class TestSweep:
             (no_trials, ["trials"]),
             ({**config, "gen": {"K": 2}}, ["M", "N", "ue_cc_cap", "system_cc_cap_limit"]),
             ({**config, "sgpa": 5}, ["sgpa", "JSON object"]),
-            ({**config, "oracle_budget": [5]}, ["oracle_budget"]),
-            ({**config, "oracle_budget": 5.0}, ["oracle_budget"]),
+            ({**config, "oracle_budget": 5}, ["unknown sweep config fields", "oracle_budget"]),
             ({**config, "trials": "1"}, ["trials"]),
             ({**config, "trials": True}, ["trials"]),
             ({**config, "gen": {**gen, "K": "2"}}, ["K"]),
@@ -423,7 +445,8 @@ class TestSweep:
             ({**config, "gen": {**gen, "seed": 999, "stream_key": [7, 7]}}, ["'gen.seed'"]),
             ({**config, "gen": {**gen, "stream_key": [7, 7]}}, ["'gen.stream_key'"]),
             ({**config, "sgpa": {"record_trace": True}}, ["'sgpa.record_trace'"]),
-            ({**config, "oracle_budget": 0}, ["oracle_budget"]),
+            ({**config, "m_grid": [3, 4, 1]}, ["m_grid", "M=1"]),
+            ({**config, "mk_grid": [1, 4]}, ["mk_grid", "Mk=4"]),
             ({**config, "algorithms": []}, ["algorithms"]),
             ({**config, "algorithms": ["sgpa", "sgpa"]}, ["algorithms"]),
             ({**config, "gen": {**gen, "snr_db_range": [-10, float("inf")]}}, ["snr_db_range"]),
@@ -440,6 +463,7 @@ class TestSweep:
             assert code == 2
             for name in names:
                 assert name in err
+            assert not (tmp_path / "o.csv").exists()
 
 
 class TestFig1Command:
@@ -465,3 +489,38 @@ class TestFig1Command:
             rows = list(csv.reader(fh))[1:]
         shares = np.array([[float(cell) for cell in row[1:]] for row in rows])
         np.testing.assert_array_equal(shares, fig1_experiment(4, 2, 1, 1))
+
+    def test_gives_up_on_a_rate_gap_too_rare_to_draw(self, tmp_path, capsys):
+        out_path = tmp_path / "traj.csv"
+        start = time.perf_counter()
+        code, _, err = run(capsys, "fig1", "--M", "400", "--Mk", "200", "-o", str(out_path))
+        assert time.perf_counter() - start < 10.0
+        assert code == 2
+        assert "M=400, Mk=200" in err
+        assert not out_path.exists()
+
+
+def subcommands(parser):
+    """Each subcommand's parser, by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_settable_surface():
+    """Every config field and command-line flag, so that a new knob shows up
+    as a change to this list."""
+    surface = {name: [f.name for f in fields(cls)] for name, cls in
+               (("SgpaConfig", SgpaConfig), ("GenParams", GenParams), ("SweepConfig", SweepConfig))}
+    for name, sub in subcommands(build_parser()).items():
+        surface[name] = ["/".join(a.option_strings) for a in sub._actions if a.dest != "help"]
+    assert surface == {
+        "SgpaConfig": ["max_iterations", "record_trace"],
+        "GenParams": ["K", "M", "N", "ue_cc_cap", "system_cc_cap_limit", "snr_db_range",
+                      "weight_mode", "seed", "stream_key"],
+        "SweepConfig": ["algorithms", "gen", "trials", "base_seed", "m_grid", "mk_grid", "sgpa",
+                        "jobs"],
+        "gen": ["--K", "--M", "--N", "--Mk", "--M0-limit", "--snr-low", "--snr-high", "--weights",
+                "--seed", "-o/--output"],
+        "solve": ["--instance", "--algorithm", "--max-iterations", "--trace", "--allocation-out"],
+        "sweep": ["--config", "-o/--output", "--jobs"],
+        "fig1": ["--M", "--Mk", "--iterations", "--seed", "-o/--output"],
+    }

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from caralloc.baselines import MAX_ENUMERATIONS
 from caralloc.core import ProblemInstance, check_feasibility, evaluate_wsu, round_allocation
 from caralloc.sgpa import SgpaConfig, solve
 from caralloc.simharness import ALGORITHMS, GenParams, sample_instance
@@ -110,8 +109,8 @@ def test_algorithms_commute_with_index_permutations(case):
     for name, run in ALGORITHMS.items():
         if name == "sgpa":
             continue  # compared by its relaxed iterate below
-        wsu = evaluate_wsu(instance, run(instance, config, MAX_ENUMERATIONS).allocation)
-        permuted_wsu = evaluate_wsu(permuted, run(permuted, config, MAX_ENUMERATIONS).allocation)
+        wsu = evaluate_wsu(instance, run(instance, config).allocation)
+        permuted_wsu = evaluate_wsu(permuted, run(permuted, config).allocation)
         assert permuted_wsu == pytest.approx(wsu, rel=1e-9), name
 
     relaxed = solve(instance, config).relaxed

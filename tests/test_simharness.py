@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +55,13 @@ class TestGenParams:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             small_params(seed=-1)
+
+    def test_snr_bound_keeps_utilities_finite(self):
+        params = small_params(K=10, M=10, N=20, snr_db_range=(-1000.0, 1000.0))
+        assert np.isfinite(sample_instance(params).utilities).all()
+        for snr_db_range in ((-1000.5, 0.0), (0.0, 1000.5)):
+            with pytest.raises(ValueError, match="snr_db_range must lie within"):
+                small_params(snr_db_range=snr_db_range)
 
 
 class TestCapacityUtilities:
@@ -125,7 +132,7 @@ class TestAlgorithms:
         }
         assert list(ALGORITHMS) == list(facts)
         for name, entry in ALGORITHMS.items():
-            run = entry(instance, SgpaConfig(), 100)
+            run = entry(instance, SgpaConfig())
             assert run.wsu == evaluate_wsu(instance, run.allocation)
             assert list(run.facts) == facts[name]
             assert run.trace is None
@@ -133,7 +140,7 @@ class TestAlgorithms:
     def test_only_a_recording_solver_returns_its_trace(self):
         instance = sample_instance(small_params(seed=4))
         config = SgpaConfig(max_iterations=3, record_trace=True)
-        traces = {name: entry(instance, config, 100).trace for name, entry in ALGORITHMS.items()}
+        traces = {name: entry(instance, config).trace for name, entry in ALGORITHMS.items()}
         assert [rec.iteration for rec in traces.pop("sgpa")] == [1, 2, 3]
         assert traces == {"greedy": None, "heuristic": None, "oracle": None}
 
@@ -183,27 +190,27 @@ class TestRunSweep:
     def test_oracle_budget_marks_row_skipped(self):
         config = SweepConfig(
             algorithms=("sgpa", "oracle"),
-            gen=small_params(),
+            gen=small_params(system_cc_cap_limit=15),
             trials=2,
             base_seed=1,
-            oracle_budget=5,
+            m_grid=(3, 30),
         )
         rows = run_sweep(config)
         oracle_rows = [r for r in rows if r.algorithm == "oracle"]
-        assert len(oracle_rows) == 1 and oracle_rows[0].skipped
-        assert "budget" in oracle_rows[0].skip_reason
-        assert any(r.algorithm == "sgpa" and not r.skipped for r in rows)
+        assert [(r.M, r.skipped) for r in oracle_rows] == [(3, False), (30, True)]
+        assert "budget" in oracle_rows[1].skip_reason
+        assert all(not r.skipped for r in rows if r.algorithm == "sgpa")
 
     def test_skipped_oracle_rows_match_across_jobs(self):
-        # M=3 needs 12 enumerations and M=5 needs 40, so only M=5 skips.
+        # With M0 = min(M, 15), M=3 needs 9 enumerations and M=30 needs
+        # C(30, 15) * 15**2 = 3.5e10, so only M=30 skips.
         config = SweepConfig(
             algorithms=("oracle", "sgpa", "greedy"),
-            gen=small_params(),
+            gen=small_params(system_cc_cap_limit=15),
             trials=3,
             base_seed=2,
-            m_grid=(3, 5),
+            m_grid=(3, 30),
             mk_grid=(1,),
-            oracle_budget=20,
         )
         sequential = run_sweep(config)
         parallel = run_sweep(SweepConfig(**{**config.__dict__, "jobs": 2}))
@@ -214,10 +221,10 @@ class TestRunSweep:
         assert untimed(sequential) == untimed(parallel)
         assert [(r.algorithm, r.M, r.skipped) for r in sequential] == [
             ("oracle", 3, False), ("sgpa", 3, False), ("greedy", 3, False),
-            ("sgpa", 5, False), ("greedy", 5, False), ("oracle", 5, True),
+            ("sgpa", 30, False), ("greedy", 30, False), ("oracle", 30, True),
         ]
         skipped = sequential[-1]
-        assert skipped.skip_reason == "needs 40 enumerations, budget 20"
+        assert skipped.skip_reason == "needs 34901442000 enumerations, budget 10000000"
         assert skipped.trials == 0 and np.isnan(skipped.mean_wsu)
         assert [r.above_oracle for r in sequential[3:5]] == [None, None]
 
@@ -244,7 +251,8 @@ class TestRunSweep:
         config = SweepConfig.from_dict(
             {
                 "algorithms": ["sgpa", "heuristic"],
-                "gen": {"K": 2, "M": 3, "N": 2, "ue_cc_cap": 1, "system_cc_cap_limit": 2},
+                "gen": {"K": 2, "M": 3, "N": 2, "ue_cc_cap": 1, "system_cc_cap_limit": 2,
+                        "snr_db_range": [0, 10]},
                 "trials": 3,
                 "base_seed": 7,
                 "m_grid": [3, 4],
@@ -252,7 +260,14 @@ class TestRunSweep:
             }
         )
         assert config.sgpa.max_iterations == 10
-        assert [p[1] for p in config.grid_points()] == [3, 4]
+        # Every JSON array of a Tuple field reads back as a tuple.
+        assert config.algorithms == ("sgpa", "heuristic") and config.m_grid == (3, 4)
+        assert config.mk_grid is None and config.gen.snr_db_range == (0, 10)
+        gen = GenParams.from_dict({**asdict(config.gen), "stream_key": [4, 2]})
+        assert gen == replace(config.gen, stream_key=(4, 2))
+        assert config.grid_points() == [
+            replace(config.gen, M=3, ue_cc_cap=1), replace(config.gen, M=4, ue_cc_cap=1)
+        ]
 
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError):
@@ -267,7 +282,7 @@ class TestRunSweep:
             SweepConfig.from_dict(doc)
         doc["gen"]["ue_cc_cap"] = 2
         config = SweepConfig.from_dict(doc)
-        assert [p[2] for p in config.grid_points()] == [2]
+        assert [p.ue_cc_cap for p in config.grid_points()] == [2]
 
     def test_readme_sweep_configs_load(self):
         # Every ```json block in README.md is a sweep config.
