@@ -23,7 +23,6 @@ from .core import (
     top_cap_indicator,
 )
 from .sgpa import (
-    DegenerateInstanceError,
     NormalizationSolution,
     SgpaConfig,
     SgpaResult,

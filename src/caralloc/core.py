@@ -171,6 +171,11 @@ class ProblemInstance:
             raise ValueError("every per-user carrier cap must lie in [1, M]")
         if not 1 <= m0 <= M:
             raise ValueError("system carrier cap must lie in [1, M]")
+        # Every term is nonnegative, so a finite total bounds every product
+        # and partial sum of weighted utilities that the algorithms form.
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.einsum("k,kmn->", w, phi)):
+                raise ValueError("weights times utilities overflow: their weighted sum must be finite")
         object.__setattr__(self, "num_ues", K)
         object.__setattr__(self, "num_ccs", M)
         object.__setattr__(self, "num_rbs_per_cc", N)
@@ -402,20 +407,15 @@ def check_feasibility(instance: ProblemInstance, alloc: BinaryAllocation) -> Fea
     )
 
 
-def top_cap_indicator(values: np.ndarray, cap: int, eligible: Optional[np.ndarray] = None) -> np.ndarray:
-    """0/1 vector with ones on the ``cap`` largest eligible entries.
+def top_cap_indicator(values: np.ndarray, cap: int) -> np.ndarray:
+    """0/1 vector with ones on the ``cap`` largest entries.
 
     Ties are broken toward the lowest index (stable sort), so the result is
     invariant under any strictly increasing transform of ``values``.
     """
     values = np.asarray(values, dtype=float)
-    if eligible is None:
-        idx = np.arange(values.size)
-    else:
-        idx = np.flatnonzero(eligible)
-    order = idx[np.argsort(-values[idx], kind="stable")]
     out = np.zeros(values.size, dtype=np.int8)
-    out[order[: min(int(cap), idx.size)]] = 1
+    out[np.argsort(-values, kind="stable")[: int(cap)]] = 1
     return out
 
 
@@ -441,16 +441,18 @@ def round_allocation(instance: ProblemInstance, beta: np.ndarray, gamma: np.ndar
     """Round carrier and admission shares, then hand out the blocks.
 
     Carriers first (top system-cap activation), then each user's carrier set
-    (its top entries among the carriers just activated), then
-    :func:`block_winners`, the best blocks for those memberships (WSU splits
-    per block once they are fixed). Every stage only picks from what the
-    previous stage kept, so the output satisfies all hard constraints.
+    (its top entries among the carriers just activated, ties to the lower
+    index), then :func:`block_winners`, the best blocks for those
+    memberships (WSU splits per block once they are fixed). Every stage only
+    picks from what the previous stage kept, so the output satisfies all
+    hard constraints.
     """
     gamma_bin = top_cap_indicator(gamma, instance.system_cc_cap)
     active = gamma_bin == 1
+    order = np.argsort(-np.where(active, beta, -np.inf), axis=1, kind="stable")
+    taken = np.minimum(instance.ue_cc_caps, np.count_nonzero(active))[:, None]
     beta_bin = np.zeros((instance.num_ues, instance.num_ccs), dtype=np.int8)
-    for k in range(instance.num_ues):
-        beta_bin[k] = top_cap_indicator(beta[k], int(instance.ue_cc_caps[k]), eligible=active)
+    np.put_along_axis(beta_bin, order, np.arange(instance.num_ccs) < taken, axis=1)
     return BinaryAllocation(block_winners(instance, beta_bin, gamma_bin), beta_bin, gamma_bin)
 
 

@@ -4,20 +4,21 @@ The binary allocation problem is relaxed to continuous shares in (0, 1] and
 attacked through a sequence of convexified subproblems, each of which has a
 closed-form optimum: every variable is rescaled by its current marginal rate
 and renormalized onto a capped simplex (sum fixed by the relevant cap, each
-entry at most 1). Iterating this update drives the shares toward 0/1 values;
-a final quantization rounds what is left, each block by weighted utility. The start
+entry at most 1). The carrier shares and activations differ only in their
+caps, so they share one matrix: a row per user, then the activation row.
+Iterating this update drives the shares toward 0/1 values; a final
+quantization rounds what is left, each block by weighted utility. The start
 (each block spread evenly over its cap) and the thresholds (the constants
 ``SNAP_TOLERANCE``, ``ZERO_TOLERANCE`` and ``CONVERGENCE_TOLERANCE``) are
 fixed; :class:`SgpaConfig` sets only the sweep budget and the trace.
 
 The normalization multiplier is found exactly by a breakpoint scan over the
 sorted rates (no root-finding). One scan, :func:`_normalize_rows`, serves
-every normalization: it takes a whole array of rows with one cap each, so a
-carrier-share update normalizes every user in one pass, and it skips the
-scan when every row has at most its cap of positive scores (they all
-saturate). Input is validated only at the public entry,
-:func:`capped_simplex_normalize`; the updates inside :func:`solve` call the
-scan directly.
+every normalization: it takes a whole array of rows with one cap each, so
+one call normalizes every share row, and it skips the scan when every row
+has at most its cap of positive scores (they all saturate). Input is
+validated only at the public entry, :func:`capped_simplex_normalize`; the
+updates inside :func:`solve` call the scan directly.
 
 A carrier whose activation reaches exactly 0 stays switched off, and every
 share under it is 0 from then on. Once at least half of the carriers in its
@@ -47,7 +48,6 @@ from .core import (
 )
 
 __all__ = [
-    "DegenerateInstanceError",
     "SgpaConfig",
     "NormalizationSolution",
     "IterationRecord",
@@ -59,10 +59,6 @@ __all__ = [
     "solve",
     "write_trace_csv",
 ]
-
-
-class DegenerateInstanceError(ValueError):
-    """Raised when every rate feeding a required update is zero."""
 
 
 #: Values within this distance of 1 are snapped to exactly 1 after every
@@ -186,25 +182,24 @@ def _normalize_rows(v: np.ndarray, caps: np.ndarray) -> tuple:
     return x, kappa
 
 
-def _sweep_scores(weights, utilities, alpha, beta, gamma) -> tuple:
-    """The three score arrays of one sweep, each product formed once.
+def _sweep_scores(weights, utilities, alpha, shares) -> tuple:
+    """The block scores and the share scores of one sweep, each product
+    formed once. ``shares`` stacks ``beta`` (rows 0..K-1) over ``gamma``.
 
     With weighted utilities ``W = w_k * phi[k, m, n]`` and per-carrier rates
-    ``r[k, m] = sum_n alpha[k, m, n] * W[k, m, n]``, the scores are
-    ``alpha * beta * W`` for the blocks, ``beta * gamma * r`` for the carrier
-    shares and ``gamma * sum_k beta * r`` for the activations. The carrier
-    activations cancel in the block update and do not appear there. The
-    arrays may hold any subset of the carriers: every sum here runs over
-    users or blocks, never over carriers, so each carrier's scores do not
-    depend on which other carriers are present.
+    ``r[k, m] = sum_n alpha[k, m, n] * W[k, m, n]``, the block scores are
+    ``alpha * beta * W`` and the share scores ``shares * rates``, whose
+    rates are ``gamma * r`` in the user rows and ``sum_k beta * r`` in the
+    activation row. The activations cancel in the block update and do not
+    appear there. The arrays may hold any subset of the carriers: every sum
+    here runs over users or blocks, never over carriers, so each carrier's
+    scores do not depend on which other carriers are present.
     """
+    beta, gamma = shares[:-1], shares[-1]
     weighted = weights[:, None, None] * utilities
     per_cc = np.einsum("kmn,kmn->km", alpha, weighted)
-    return (
-        alpha * beta[:, :, None] * weighted,
-        beta * (gamma[None, :] * per_cc),
-        gamma * (beta * per_cc).sum(axis=0),
-    )
+    rates = np.vstack((gamma * per_cc, (beta * per_cc).sum(axis=0)))
+    return alpha * beta[:, :, None] * weighted, shares * rates
 
 
 def update_alpha(scores: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -216,22 +211,23 @@ def update_alpha(scores: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return np.where(denom > 0.0, scores / safe, alpha)
 
 
-def update_beta(scores: np.ndarray, beta: np.ndarray, caps) -> np.ndarray:
-    """One carrier-share update for every user at once: capped-simplex
-    normalization of each user's score row with its carrier cap ``caps[k]``
-    as the target sum. A user whose scores are all zero keeps its previous
-    row of ``beta``."""
+def update_beta(scores: np.ndarray, shares: np.ndarray, caps) -> np.ndarray:
+    """One share update for every row at once: capped-simplex normalization
+    of score row r with ``caps[r]`` as the target sum. :func:`solve` passes
+    every user's carrier shares (cap ``M_k``) and, as the last row, the
+    activations (cap ``M0``). A row whose scores are all zero keeps its
+    previous shares."""
     live = scores.max(axis=1) > 0.0
-    out = beta.copy()
+    out = shares.copy()
     out[live] = _normalize_rows(scores[live], np.asarray(caps)[live])[0]
     return out
 
 
-def update_gamma(scores: np.ndarray, cap: int) -> np.ndarray:
-    """One activation update: capped-simplex normalization with the system cap."""
-    if not scores.max() > 0.0:
-        raise DegenerateInstanceError("all carrier rates are zero")
-    return _normalize_rows(scores[None, :], np.array([cap]))[0][0]
+def update_gamma(scores: np.ndarray, gamma: np.ndarray, cap: int) -> np.ndarray:
+    """One activation update on its own: :func:`update_beta` of the single
+    row ``gamma`` with the system cap. :func:`solve` updates the activations
+    as the last row of its share matrix instead."""
+    return update_beta(scores[None, :], gamma[None, :], [cap])[0]
 
 
 @dataclass(frozen=True)
@@ -243,7 +239,7 @@ class IterationRecord:
     its normalization identities: block columns summing to 1, carrier-share
     rows and activations summing to min(cap, number of positive scores).
     ``zero_rate_ues`` lists users whose carrier-share row was held because
-    every score was zero.
+    every score was zero (a held activation row is not listed).
     """
 
     iteration: int
@@ -273,100 +269,84 @@ class SgpaResult:
 
 
 def _snap(arr: np.ndarray) -> np.ndarray:
-    arr = arr.copy()
+    """Snap a fresh update ``arr`` in place (no K*M*N copy per sweep) and return it."""
     arr[arr >= 1.0 - SNAP_TOLERANCE] = 1.0
     arr[arr <= ZERO_TOLERANCE] = 0.0
     return arr
 
 
-def _uniform_initialization(instance: ProblemInstance) -> tuple:
-    K, M, N = instance.num_ues, instance.num_ccs, instance.num_rbs_per_cc
-    alpha = np.full((K, M, N), 1.0 / K)
-    beta = np.repeat((1.0 / instance.ue_cc_caps)[:, None], M, axis=1)
-    gamma = np.full(M, 1.0 / instance.system_cc_cap)
-    return alpha, beta, gamma
-
-
 def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> SgpaResult:
     """Run the iterative solver and quantize the final iterate.
 
-    The solve starts from the uniform spread of each variable block over
-    its cap. All three variable blocks are updated in parallel from the
-    previous iterate (pure Jacobi sweep). After each sweep, values within
-    ``SNAP_TOLERANCE`` of 1 are snapped to 1 and values at or below
-    ``ZERO_TOLERANCE`` are zeroed; iteration stops early once the largest
-    change across all variables falls below ``CONVERGENCE_TOLERANCE``.
+    The state is the block shares ``alpha`` (K, M, N) and one share matrix
+    (K+1, M), the carrier shares over the activations, with caps ``M_k``
+    and ``M0``; each starts as the uniform spread over its cap. Both are
+    updated in parallel from the previous iterate (pure Jacobi sweep). After
+    each sweep, values within ``SNAP_TOLERANCE`` of 1 are snapped to 1 and
+    values at or below ``ZERO_TOLERANCE`` are zeroed; iteration stops early
+    once the largest change across all variables falls below
+    ``CONVERGENCE_TOLERANCE``. A row with no positive score keeps its
+    shares, so an instance with no positive utility stops at its start.
 
     Once at least half of the carriers in the working arrays have zero
     activation, the arrays are cut down to the live carriers, and the
-    sweeps run on those alone. The cut is exact: a carrier at zero
-    activation stays there, and every share under it is 0 and stays 0, so
-    each later sweep would only recompute those zeros. Within a sweep,
-    sums run over users or blocks, and the normalizations over carriers
-    see only positive scores, so the live carriers' values are the same
-    bits as at full size. The caps are clipped to the live count; where
-    that changes a cap, at most cap scores are positive, so the
-    normalization takes the same branch as at full size (every positive
-    score saturates). The iterate is scattered back to full size at the
-    end, and for each trace record.
+    sweeps run on those alone. The cut is exact (see the module notes): a
+    carrier at zero activation stays there with every share under it 0, so
+    each later sweep would only recompute those zeros, and no live value
+    depends on it. The caps are clipped to the live count; where that
+    changes a cap, at most cap scores are positive, so the normalization
+    takes the same branch as at full size (every positive score
+    saturates). The iterate is scattered back to full size at the end, and
+    for each trace record.
     """
     cfg = config if config is not None else SgpaConfig()
+    K, num_ccs, N = instance.num_ues, instance.num_ccs, instance.num_rbs_per_cc
 
     # Every entry of the start lies far above ZERO_TOLERANCE, and after every
     # _snap the iterate lies in {0} and (ZERO_TOLERANCE, 1], so the sweeps
     # run on plain arrays.
-    alpha, beta, gamma = _uniform_initialization(instance)
+    alpha = np.full((K, num_ccs, N), 1.0 / K)
+    caps = np.append(instance.ue_cc_caps, instance.system_cc_cap)
+    shares = np.repeat((1.0 / caps)[:, None], num_ccs, axis=1)
 
     trace: Optional[List[IterationRecord]] = [] if cfg.record_trace else None
-    w = instance.weights
-    num_ccs = instance.num_ccs
     live = np.arange(num_ccs)  # the carriers in the working arrays
     utilities = instance.utilities
-    caps, system_cap = instance.ue_cc_caps, instance.system_cc_cap
     converged = False
 
     def full_size() -> RelaxedAllocation:
-        return RelaxedAllocation(*(_scatter(arr, live, num_ccs) for arr in (alpha, beta, gamma)))
+        beta_gamma = _scatter(shares, live, num_ccs)
+        return RelaxedAllocation(_scatter(alpha, live, num_ccs), beta_gamma[:-1], beta_gamma[-1])
 
     for iteration in range(1, cfg.max_iterations + 1):
-        scores = _sweep_scores(w, utilities, alpha, beta, gamma)
-        new_alpha = update_alpha(scores[0], alpha)
-        new_beta = update_beta(scores[1], beta, caps)
-        new_gamma = update_gamma(scores[2], system_cap)
+        block_scores, share_scores = _sweep_scores(instance.weights, utilities, alpha, shares)
+        new_alpha = update_alpha(block_scores, alpha)
+        new_shares = update_beta(share_scores, shares, caps)
 
-        residual = 0.0
-        zero_rate: tuple = ()
+        residual, zero_rate = 0.0, ()
         if cfg.record_trace:
-            # The beta and gamma sums here run over carriers: take them at
-            # full size, so they add in the same order with or without a cut.
+            # The share sums here run over carriers: take them at full size,
+            # so they add in the same order with or without a cut.
             residual, zero_rate = _sum_identity_residual(
-                instance,
-                scores,
-                new_alpha,
-                _scatter(new_beta, live, num_ccs),
-                _scatter(new_gamma, live, num_ccs),
+                block_scores, share_scores, new_alpha, _scatter(new_shares, live, num_ccs), caps
             )
-        del scores  # free the K*M*N block scores before _snap copies the shares
+        del block_scores, share_scores  # free the K*M*N block scores now, not at the next sweep
 
-        new_alpha = _snap(new_alpha)
-        new_beta = _snap(new_beta)
-        new_gamma = _snap(new_gamma)
+        new_alpha, new_shares = _snap(new_alpha), _snap(new_shares)
 
         # Active-set removal cascades: a carrier whose activation hit exact
         # zero can never recover (its rates are identically zero from here
         # on), so the shares under it are permanently inert. Zeroing them
         # keeps them from freezing at stale fractional values; live dynamics
         # are unaffected because every path through them carries the zero.
-        dead = new_gamma == 0.0
+        dead = new_shares[-1] == 0.0
         if dead.any():
-            new_beta[:, dead] = 0.0
+            new_shares[:, dead] = 0.0
             new_alpha[:, dead, :] = 0.0
 
-        max_change = max(
-            float(np.abs(new - old).max())
-            for new, old in zip((new_alpha, new_beta, new_gamma), (alpha, beta, gamma))
-        )
-        alpha, beta, gamma = new_alpha, new_beta, new_gamma
+        # abs in place: one K*M*N temporary, not two, at the sweep's peak.
+        max_change = max(float(np.abs(d, out=d).max()) for d in (new_alpha - alpha, new_shares - shares))
+        alpha, shares = new_alpha, new_shares
 
         if cfg.record_trace:
             relaxed_wsu = evaluate_relaxed_wsu(instance, full_size())
@@ -385,15 +365,13 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
             live = live[keep]
             utilities = utilities.compress(keep, axis=1)
             alpha = alpha.compress(keep, axis=1)
-            beta = beta.compress(keep, axis=1)
-            gamma = gamma.compress(keep)
+            shares = shares.compress(keep, axis=1)
             caps = np.minimum(caps, live.size)
-            system_cap = min(system_cap, live.size)
 
     # Both facts read the same on the live carriers as at full size: a cut
     # carrier's activation and shares are all exactly 0.
-    active_carriers = int(np.count_nonzero(gamma))
-    binary_distance = max(float(np.minimum(arr, 1.0 - arr).max()) for arr in (alpha, beta, gamma))
+    active_carriers = int(np.count_nonzero(shares[-1]))
+    binary_distance = max(float(np.minimum(arr, 1.0 - arr).max()) for arr in (alpha, shares))
     final = full_size()
     binary = quantize(instance, final)
     return SgpaResult(
@@ -409,37 +387,30 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
 
 
 def _scatter(arr: np.ndarray, live: np.ndarray, num_ccs: int) -> np.ndarray:
-    """``arr``, whose carrier axis holds the ``live`` carriers, at full
-    size with zeros at every other carrier. The carrier axis is axis 0 of
-    the activations and axis 1 of the shares."""
+    """``arr``, whose carrier axis 1 holds the ``live`` carriers, at full
+    size with zeros at every other carrier."""
     if live.size == num_ccs:
         return arr
-    axis = 0 if arr.ndim == 1 else 1
-    shape = list(arr.shape)
-    shape[axis] = num_ccs
-    out = np.zeros(shape)
-    out[(slice(None),) * axis + (live,)] = arr
+    out = np.zeros((arr.shape[0], num_ccs) + arr.shape[2:])
+    out[:, live] = arr
     return out
 
 
-def _sum_identity_residual(instance, scores, new_alpha, new_beta, new_gamma):
+def _sum_identity_residual(block_scores, share_scores, new_alpha, new_shares, caps):
     """Worst deviation of the raw update from its normalization identities,
-    and the users whose carrier-share row was held (all scores zero)."""
-    alpha_scores, beta_scores, gamma_scores = scores
-    live_cols = alpha_scores.sum(axis=0) > 0
+    and the users whose carrier-share row was held (all scores zero). Caps
+    clipped to the live count give the same targets min(cap, positives)."""
+    live_cols = block_scores.sum(axis=0) > 0
     residual = 0.0
     if live_cols.any():
         residual = float(np.abs(new_alpha.sum(axis=0)[live_cols] - 1.0).max())
 
-    positives = (beta_scores > 0).sum(axis=1)
+    positives = (share_scores > 0).sum(axis=1)
     live_rows = positives > 0
     if live_rows.any():
-        deviation = np.abs(new_beta.sum(axis=1) - np.minimum(instance.ue_cc_caps, positives))
+        deviation = np.abs(new_shares.sum(axis=1) - np.minimum(caps, positives))
         residual = max(residual, float(deviation[live_rows].max()))
-
-    expected = min(instance.system_cc_cap, int((gamma_scores > 0).sum()))
-    residual = max(residual, abs(float(new_gamma.sum()) - expected))
-    return residual, tuple(np.flatnonzero(~live_rows).tolist())
+    return residual, tuple(np.flatnonzero(~live_rows[:-1]).tolist())
 
 
 def write_trace_csv(result: SgpaResult, path) -> None:

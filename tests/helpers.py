@@ -25,7 +25,7 @@ from caralloc.core import (
     ProblemInstance,
     block_winners,
     evaluate_wsu,
-    top_cap_indicator,
+    round_allocation,
 )
 from caralloc.lp import LinearProgram
 from caralloc.sgpa import NormalizationSolution
@@ -292,10 +292,8 @@ def alpha_rounding(instance, relaxed):
     :func:`caralloc.core.round_allocation` picks them, then each block to the
     admitted user with the largest relaxed ``alpha`` (ties to the lowest
     index). The current rule scores blocks by weighted utility instead."""
-    gamma = top_cap_indicator(relaxed.gamma, instance.system_cc_cap)
-    beta = np.zeros((instance.num_ues, instance.num_ccs), dtype=np.int8)
-    for k in range(instance.num_ues):
-        beta[k] = top_cap_indicator(relaxed.beta[k], int(instance.ue_cc_caps[k]), eligible=gamma == 1)
+    rounded = round_allocation(instance, relaxed.beta, relaxed.gamma)
+    beta, gamma = rounded.beta, rounded.gamma
     admitted = (beta == 1) & (gamma == 1)
     winners = np.argmax(np.where(admitted[:, :, None], relaxed.alpha, -np.inf), axis=0)
     alpha = np.zeros(relaxed.alpha.shape, dtype=np.int8)

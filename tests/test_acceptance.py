@@ -16,7 +16,7 @@ from caralloc.core import check_feasibility, evaluate_wsu, top_cap_indicator
 from caralloc.sgpa import SgpaConfig, capped_simplex_normalize, solve
 from caralloc.simharness import GenParams, SweepConfig, fig1_experiment, run_sweep, sample_instance
 
-from helpers import binary_distance, bisect_capped_simplex_kappa, reference_enumeration_count
+from helpers import binary_distance, bisect_capped_simplex_kappa, milp_optimum, reference_enumeration_count
 
 
 def report(number, name, ok, detail):
@@ -204,6 +204,32 @@ def test_capacity_gain_saturates_above_system_cap(capacity_sweep_rows):
     below_cap_gain = solver_means[10] - solver_means[5]
     above_cap_gain = solver_means[20] - solver_means[15]
     assert above_cap_gain < 0.5 * below_cap_gain
+
+
+def test_criterion_6_companion_exact_optimum():
+    """Criterion 6's grid against the exact optimum (HiGHS branch and bound,
+    ``helpers.milp_optimum``), 8 draws per M: no algorithm exceeds it, and
+    the solver at 100 sweeps keeps a mean ratio of at least 0.98 at every M.
+    Prints the mean ratios and the draws on which the solver trails the
+    heuristic."""
+    ok = True
+    lines = []
+    for M in (5, 10, 15, 20):
+        solver, heuristic = [], []
+        for t in range(8):
+            instance = sample_instance(
+                GenParams(K=10, M=M, N=20, ue_cc_cap=2, system_cc_cap_limit=10, seed=5000 + t)
+            )
+            optimum = milp_optimum(instance)
+            solver.append(solve(instance, SgpaConfig(max_iterations=100)).wsu / optimum)
+            heuristic.append(evaluate_wsu(instance, heuristic_solve(instance)) / optimum)
+        assert max(solver + heuristic) <= 1 + 1e-12
+        behind = sum(s < h for s, h in zip(solver, heuristic))
+        ok &= np.mean(solver) >= 0.98
+        lines.append(
+            f"M={M}: solver {np.mean(solver):.4f}, heuristic {np.mean(heuristic):.4f}, behind {behind}/8"
+        )
+    assert report("6 companion", "exact optimum", ok, "; ".join(lines))
 
 
 def test_criterion_7_linear_time_scaling():

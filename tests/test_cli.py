@@ -289,6 +289,36 @@ class TestSolve:
         assert out == ""
         assert "weights" in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_overflowing_weighted_utilities_exit_2(self, tmp_path, capsys, algorithm):
+        # Every weight and utility is finite; the product 1e300 * 1e300 is not.
+        path = tmp_path / "inst.json"
+        phi = np.ones((2, 2, 2))
+        phi[0, 0, 0] = 1e300
+        doc = {"K": 2, "M": 2, "N": 2, "weights": [1e300, 1.0], "Mk": [1, 1], "M0": 2,
+               "phi": phi.tolist()}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", "--instance", str(path), "--algorithm", algorithm)
+        assert code == 2
+        assert out == ""
+        assert err == "error: weights times utilities overflow: their weighted sum must be finite\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_all_zero_utilities_solve_to_zero(self, tmp_path, capsys, algorithm):
+        path = tmp_path / "inst.json"
+        doc = {"K": 2, "M": 3, "N": 2, "weights": [1.0, 2.0], "Mk": [1, 2], "M0": 2,
+               "phi": np.zeros((2, 3, 2)).tolist()}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", "--instance", str(path), "--algorithm", algorithm)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["wsu"] == 0.0
+        if algorithm == "sgpa":
+            # No score is positive, so every row keeps its start: one sweep.
+            assert report["feasible"] and report["converged"] and report["iterations_run"] == 1
+
     def test_report_keys_and_order(self, tmp_path, capsys):
         """The report lists the algorithm, its WSU, the feasibility verdicts
         and first violations, then the algorithm's run facts."""

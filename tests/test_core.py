@@ -14,6 +14,7 @@ from caralloc.core import (
     evaluate_relaxed_wsu,
     evaluate_wsu,
     quantize,
+    round_allocation,
     top_cap_indicator,
 )
 
@@ -47,6 +48,13 @@ class TestProblemInstance:
     def test_rejects_negative_utility(self):
         with pytest.raises(ValueError):
             make_instance([1.0], [[[-0.1]]], [1], 1)
+
+    def test_rejects_weighted_utilities_that_overflow(self):
+        # Each factor is finite; their product is not.
+        with pytest.raises(ValueError, match="weights times utilities"):
+            make_instance([1e300, 1.0], [[[1e300]], [[1.0]]], [1, 1], 1)
+        with np.errstate(over="raise"):
+            make_instance([1e300, 1.0], [[[1.0]], [[1.0]]], [1, 1], 1)
 
     def test_rejects_cap_out_of_range(self):
         with pytest.raises(ValueError):
@@ -169,9 +177,36 @@ class TestTopCapIndicator:
         out = top_cap_indicator(np.array([0.5, 0.5, 0.5]), 1)
         np.testing.assert_array_equal(out, [1, 0, 0])
 
-    def test_eligibility_mask(self):
-        out = top_cap_indicator(np.array([0.9, 0.8, 0.7]), 2, eligible=np.array([False, True, True]))
-        np.testing.assert_array_equal(out, [0, 1, 1])
+
+
+class TestRoundAllocation:
+    def test_users_take_their_carriers_from_the_active_ones(self):
+        # M0 = 2 activates carriers 1 and 3.
+        inst = make_instance([1.0] * 3, np.ones((3, 5, 1)), [1, 1, 4], 2)
+        gamma = np.array([0.1, 0.9, 0.2, 0.8, 0.3])
+        beta = np.array([
+            [1.0, 0.5, 0.9, 0.5, 0.7],  # a tie on the active carriers: the lower index
+            [0.9, 0.2, 0.9, 0.6, 0.9],  # every inactive carrier scores higher
+            [0.5, 0.5, 0.5, 0.5, 0.5],  # a cap of 4 above the 2 active carriers
+        ])
+        out = round_allocation(inst, beta, gamma)
+        np.testing.assert_array_equal(out.gamma, [0, 1, 0, 1, 0])
+        np.testing.assert_array_equal(out.beta, [[0, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 1, 0, 1, 0]])
+
+    def test_matches_each_user_rounded_alone(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            K, M = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+            caps = rng.integers(1, M + 1, K)
+            inst = make_instance(np.ones(K), np.ones((K, M, 1)), caps, int(rng.integers(1, M + 1)))
+            beta = rng.integers(0, 4, (K, M)) * 0.25  # ties are common
+            gamma = rng.uniform(size=M)
+            out = round_allocation(inst, beta, gamma)
+            active = np.flatnonzero(out.gamma)
+            for k in range(K):
+                expected = np.zeros(M, dtype=np.int8)
+                expected[active] = top_cap_indicator(beta[k, active], min(caps[k], active.size))
+                np.testing.assert_array_equal(out.beta[k], expected)
 
 
 class TestQuantize:

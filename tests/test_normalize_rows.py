@@ -134,12 +134,58 @@ class TestUpdates:
 
     def test_update_gamma_matches_the_scalar_scan(self):
         rng = np.random.default_rng(16)
+        held = 0
         for i in range(400):
             M = int(rng.integers(2, 641)) if i % 4 == 0 else int(rng.integers(2, 25))
             scores = rng.lognormal(0.0, 2.0, M)
             scores[rng.uniform(size=M) < 0.3] = 0.0
-            if not scores.max() > 0.0:
-                continue
+            if i % 10 == 0:
+                scores[:] = 0.0
+            gamma = rng.uniform(0.1, 1.0, M)
             cap = int(rng.integers(1, M + 1))
-            expected = reference_capped_simplex_normalize(scores, cap).x
-            assert update_gamma(scores, cap).tobytes() == expected.tobytes()
+            if scores.max() > 0.0:
+                expected = reference_capped_simplex_normalize(scores, cap).x
+            else:
+                expected = gamma  # held: the previous row, bit for bit
+                held += 1
+            assert update_gamma(scores, gamma, cap).tobytes() == expected.tobytes()
+        assert held >= 40
+
+    def test_stacked_rows_equal_row_by_row_calls(self):
+        # The solver normalizes the users' carrier shares and, as the last
+        # row, the activations in one call; each row must come out as it
+        # would alone. The last cap exceeds every other, some rows saturate
+        # while others do not (so the all-saturated exit mostly does not
+        # fire), and some rows are all zero, the activation row included.
+        rng = np.random.default_rng(17)
+        held = scanned = 0
+        for i in range(300):
+            K = int(rng.integers(1, 11))
+            M = int(rng.integers(6, 641)) if i % 4 == 0 else int(rng.integers(6, 25))
+            caps = np.append(rng.integers(1, 4, size=K), int(rng.integers(4, M)))
+            scores = rng.lognormal(0.0, 3.0, (K + 1, M))
+            scores[rng.uniform(size=scores.shape) < 0.3] = 0.0
+            scores[-1, rng.permutation(M)[: caps[-1] + 1]] = 1.0 + rng.uniform(size=caps[-1] + 1)
+            for r in range(0, K, 2):  # at most cap positive scores: saturated
+                scores[r] = 0.0
+                scores[r, rng.permutation(M)[: caps[r]]] = rng.exponential(1.0, caps[r]) + 0.1
+            if i % 3 == 0:
+                scores[int(rng.integers(K))] = 0.0
+            if i % 5 == 4:
+                scores[-1] = 0.0
+            shares = rng.uniform(0.1, 1.0, scores.shape)
+            scanned += not np.all((scores > 0).sum(axis=1) <= caps)
+            stacked = update_beta(scores, shares, caps)
+            for r in range(K + 1):
+                alone = update_beta(scores[r : r + 1], shares[r : r + 1], caps[r : r + 1])[0]
+                assert stacked[r].tobytes() == alone.tobytes(), (i, r)
+                if not scores[r].max() > 0.0:
+                    assert stacked[r].tobytes() == shares[r].tobytes()
+                    held += 1
+            live = scores.max(axis=1) > 0.0
+            x, kappa = _normalize_rows(scores[live], caps[live])
+            for row, cap, x_row, kappa_row in zip(scores[live], caps[live], x, kappa):
+                x_alone, kappa_alone = _normalize_rows(row[None, :], np.array([cap]))
+                assert x_row.tobytes() == x_alone[0].tobytes()
+                assert float_bytes(kappa_row) == float_bytes(kappa_alone[0])
+        assert held >= 100 and scanned >= 250

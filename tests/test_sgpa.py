@@ -12,7 +12,6 @@ from caralloc.core import (
 )
 from caralloc.baselines import greedy_unconstrained
 from caralloc.sgpa import (
-    DegenerateInstanceError,
     SgpaConfig,
     _sweep_scores,
     capped_simplex_normalize,
@@ -53,26 +52,21 @@ class TestSweepScores:
         # rates r = alpha * W = [[1, 2], [3, 2.25]].
         instance = make_instance([2.0, 3.0], [[[1.0], [4.0]], [[2.0], [1.0]]], [1, 1], 1)
         alpha = np.array([[[0.5], [0.25]], [[0.5], [0.75]]])
-        beta = np.array([[0.5, 1.0], [1.0, 0.5]])
-        gamma = np.array([0.5, 0.25])
-        blocks, carriers, activations = _sweep_scores(
-            instance.weights, instance.utilities, alpha, beta, gamma
-        )
+        # The carrier shares beta over the activations gamma = [0.5, 0.25].
+        shares = np.array([[0.5, 1.0], [1.0, 0.5], [0.5, 0.25]])
+        blocks, share_scores = _sweep_scores(instance.weights, instance.utilities, alpha, shares)
         # alpha * beta * W
         np.testing.assert_array_equal(blocks[:, :, 0], [[0.5, 2.0], [3.0, 1.125]])
-        # beta * gamma * r
-        np.testing.assert_array_equal(carriers, [[0.25, 0.5], [1.5, 0.28125]])
-        # gamma * sum_k beta * r = [0.5 * 3.5, 0.25 * 3.125]
-        np.testing.assert_array_equal(activations, [1.75, 0.78125])
+        # beta * gamma * r, then gamma * sum_k beta * r = [0.5 * 3.5, 0.25 * 3.125]
+        np.testing.assert_array_equal(share_scores, [[0.25, 0.5], [1.5, 0.28125], [1.75, 0.78125]])
 
-        # The activations cancel out of the block update: only the carrier
-        # and activation scores move with gamma.
-        blocks2, carriers2, activations2 = _sweep_scores(
-            instance.weights, instance.utilities, alpha, beta, 2.0 * gamma
-        )
+        # The activations cancel out of the block update: only the share
+        # scores move with gamma.
+        doubled = shares.copy()
+        doubled[-1] *= 2.0
+        blocks2, share_scores2 = _sweep_scores(instance.weights, instance.utilities, alpha, doubled)
         np.testing.assert_array_equal(blocks2, blocks)
-        np.testing.assert_array_equal(carriers2, 2.0 * carriers)
-        np.testing.assert_array_equal(activations2, 2.0 * activations)
+        np.testing.assert_array_equal(share_scores2, 2.0 * share_scores)
 
     def test_carrier_subset_gives_the_same_columns(self):
         # No sum in a sweep runs over carriers, so scoring a subset of the
@@ -82,20 +76,17 @@ class TestSweepScores:
         weights = rng.uniform(0.5, 2.0, K)
         utilities = rng.uniform(0.0, 3.0, (K, M, N))
         alpha = rng.uniform(0.0, 1.0, (K, M, N))
-        beta = rng.uniform(0.0, 1.0, (K, M))
-        gamma = rng.uniform(0.0, 1.0, M)
+        shares = rng.uniform(0.0, 1.0, (K + 1, M))
         keep = rng.uniform(size=M) < 0.3
-        full = _sweep_scores(weights, utilities, alpha, beta, gamma)
+        full = _sweep_scores(weights, utilities, alpha, shares)
         cut = _sweep_scores(
             weights,
             utilities.compress(keep, axis=1),
             alpha.compress(keep, axis=1),
-            beta.compress(keep, axis=1),
-            gamma.compress(keep),
+            shares.compress(keep, axis=1),
         )
         np.testing.assert_array_equal(cut[0], full[0][:, keep])
         np.testing.assert_array_equal(cut[1], full[1][:, keep])
-        np.testing.assert_array_equal(cut[2], full[2][keep])
 
 
 class TestUpdateAlpha:
@@ -172,21 +163,28 @@ class TestUpdateGamma:
         gamma = np.full(2, 0.5)
         # Block shares 0.5, carrier shares 1: rates are 0.5 * phi summed over
         # users and blocks.
-        np.testing.assert_array_equal(update_gamma(gamma * (0.5 * phi).sum(axis=(0, 2)), 2), [1.0, 1.0])
+        out = update_gamma(gamma * (0.5 * phi).sum(axis=(0, 2)), gamma, 2)
+        np.testing.assert_array_equal(out, [1.0, 1.0])
 
     def test_capped_hand_example(self):
         # Scores gamma*rate = [3, 1], cap 1 -> kappa 4 -> [0.75, 0.25].
-        rates = np.array([6.0, 2.0])
-        out = update_gamma(np.full(2, 0.5) * rates, 1)
-        np.testing.assert_allclose(out, [0.75, 0.25])
+        gamma = np.full(2, 0.5)
+        np.testing.assert_allclose(update_gamma(gamma * np.array([6.0, 2.0]), gamma, 1), [0.75, 0.25])
 
     def test_symmetric_tie_makes_no_progress(self):
-        rates = np.array([2.0, 2.0])
-        np.testing.assert_allclose(update_gamma(np.full(2, 0.5) * rates, 1), [0.5, 0.5])
+        gamma = np.full(2, 0.5)
+        np.testing.assert_allclose(update_gamma(gamma * np.array([2.0, 2.0]), gamma, 1), [0.5, 0.5])
 
-    def test_degenerate_instance_raises(self):
-        with pytest.raises(DegenerateInstanceError):
-            update_gamma(np.full(2, 0.5) * np.zeros(2), 1)
+    def test_all_zero_activation_row_is_held(self):
+        # As a user's row: no positive score keeps the previous shares, alone
+        # or as the last row of the solver's share matrix.
+        gamma = np.array([0.5, 0.25])
+        assert update_gamma(np.zeros(2), gamma, 1).tobytes() == gamma.tobytes()
+        shares = np.array([[0.5, 0.5], [0.3, 0.7], [0.5, 0.25]])
+        scores = np.array([[1.0, 3.0], [0.0, 0.0], [0.0, 0.0]])
+        out = update_beta(scores, shares, [1, 1, 1])
+        np.testing.assert_allclose(out[0], [0.25, 0.75])
+        assert out[1:].tobytes() == shares[1:].tobytes()
 
 
 class TestFixedRateIteration:
