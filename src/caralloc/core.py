@@ -187,7 +187,8 @@ class ProblemInstance:
     @property
     def weighted_utilities(self) -> np.ndarray:
         """``weights[k] * utilities[k, m, n]``, formed anew on every access
-        (not cached, so no extra K*M*N array outlives its use)."""
+        (not cached, so no extra K*M*N array outlives its use). The solver
+        reads it once per solve and keeps it for all its sweeps."""
         return self.weights[:, None, None] * self.utilities
 
     def to_dict(self) -> dict:
@@ -278,7 +279,7 @@ class BinaryAllocation:
         arrays = []
         for name, raw in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
             values = np.asarray(raw)
-            if not np.isin(values, (0, 1)).all():
+            if not ((values == 0) | (values == 1)).all():
                 raise ValueError(f"{name} entries must be 0 or 1")
             arrays.append(values.astype(np.int8))
         _check_shapes(*arrays)
@@ -347,11 +348,8 @@ def evaluate_wsu(instance: ProblemInstance, alloc: BinaryAllocation) -> float:
     alpha entries therefore contribute nothing.
     """
     _require_dims(instance, alloc)
-    chain = (
-        alloc.alpha.astype(float)
-        * alloc.beta[:, :, None].astype(float)
-        * alloc.gamma[None, :, None].astype(float)
-    )
+    # One int8 product of the 0/1 arrays, cast to float once.
+    chain = (alloc.alpha * (alloc.beta[:, :, None] & alloc.gamma[None, :, None])).astype(float)
     return float(np.einsum("k,kmn,kmn->", instance.weights, chain, instance.utilities))
 
 

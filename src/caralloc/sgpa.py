@@ -20,6 +20,12 @@ has at most its cap of positive scores (they all saturate). Input is
 validated only at the public entry, :func:`capped_simplex_normalize`; the
 updates inside :func:`solve` call the scan directly.
 
+The sweep's cost is linear in K*M*N, and its K*M*N passes run in place:
+:func:`solve` forms the weighted utilities once, writes each sweep's block
+scores into a buffer it reuses, and :func:`update_alpha` normalizes them
+there. Apart from its start and its cuts, a solve allocates no K*M*N array
+until the rounding.
+
 A carrier whose activation reaches exactly 0 stays switched off, and every
 share under it is 0 from then on. Once at least half of the carriers in its
 working arrays are switched off, :func:`solve` cuts the arrays down to the
@@ -182,33 +188,40 @@ def _normalize_rows(v: np.ndarray, caps: np.ndarray) -> tuple:
     return x, kappa
 
 
-def _sweep_scores(weights, utilities, alpha, shares) -> tuple:
+def _sweep_scores(weighted, alpha, shares, out) -> tuple:
     """The block scores and the share scores of one sweep, each product
-    formed once. ``shares`` stacks ``beta`` (rows 0..K-1) over ``gamma``.
+    formed once. ``weighted`` holds the weighted utilities
+    ``W = w_k * phi[k, m, n]`` and ``shares`` stacks ``beta`` (rows
+    0..K-1) over ``gamma``. The block scores are written into ``out``, a
+    buffer of ``alpha``'s shape that the solver reuses every sweep.
 
-    With weighted utilities ``W = w_k * phi[k, m, n]`` and per-carrier rates
-    ``r[k, m] = sum_n alpha[k, m, n] * W[k, m, n]``, the block scores are
-    ``alpha * beta * W`` and the share scores ``shares * rates``, whose
-    rates are ``gamma * r`` in the user rows and ``sum_k beta * r`` in the
-    activation row. The activations cancel in the block update and do not
-    appear there. The arrays may hold any subset of the carriers: every sum
-    here runs over users or blocks, never over carriers, so each carrier's
-    scores do not depend on which other carriers are present.
+    With per-carrier rates ``r[k, m] = sum_n alpha[k, m, n] * W[k, m, n]``,
+    the block scores are ``alpha * beta * W`` and the share scores
+    ``shares * rates``, whose rates are ``gamma * r`` in the user rows and
+    ``sum_k beta * r`` in the activation row. The activations cancel in the
+    block update and do not appear there. The arrays may hold any subset of
+    the carriers: every sum here runs over users or blocks, never over
+    carriers, so each carrier's scores do not depend on which other
+    carriers are present.
     """
     beta, gamma = shares[:-1], shares[-1]
-    weighted = weights[:, None, None] * utilities
     per_cc = np.einsum("kmn,kmn->km", alpha, weighted)
     rates = np.vstack((gamma * per_cc, (beta * per_cc).sum(axis=0)))
-    return alpha * beta[:, :, None] * weighted, shares * rates
+    blocks = np.multiply(alpha, beta[:, :, None], out=out)
+    blocks *= weighted
+    return blocks, shares * rates
 
 
 def update_alpha(scores: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """One block-share update: scale each (carrier, block) column of the
-    scores to sum to 1. A column whose scores are all zero keeps its
-    previous shares ``alpha`` (it earns nothing either way)."""
-    denom = scores.sum(axis=0, keepdims=True)
-    safe = np.where(denom > 0.0, denom, 1.0)
-    return np.where(denom > 0.0, scores / safe, alpha)
+    """One block-share update, in place: scale each (carrier, block) column
+    of ``scores`` to sum to 1 and return ``scores``. A column whose scores
+    are all zero takes its previous shares ``alpha`` (it earns nothing
+    either way), copied bit for bit."""
+    denom = scores.sum(axis=0)
+    live = denom > 0.0
+    scores /= np.where(live, denom, 1.0)
+    np.copyto(scores, alpha, where=~live)
+    return scores
 
 
 def update_beta(scores: np.ndarray, shares: np.ndarray, caps) -> np.ndarray:
@@ -269,7 +282,9 @@ class SgpaResult:
 
 
 def _snap(arr: np.ndarray) -> np.ndarray:
-    """Snap a fresh update ``arr`` in place (no K*M*N copy per sweep) and return it."""
+    """Snap a fresh update ``arr`` in place and return it: values within
+    ``SNAP_TOLERANCE`` of 1 become 1, values at or below ``ZERO_TOLERANCE``
+    become 0."""
     arr[arr >= 1.0 - SNAP_TOLERANCE] = 1.0
     arr[arr <= ZERO_TOLERANCE] = 0.0
     return arr
@@ -287,6 +302,13 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     once the largest change across all variables falls below
     ``CONVERGENCE_TOLERANCE``. A row with no positive score keeps its
     shares, so an instance with no positive utility stops at its start.
+
+    The sweep runs in place on two K*M*N buffers beside the weighted
+    utilities, which are formed once per solve. The block scores go into
+    the free buffer, :func:`update_alpha` normalizes them there into the
+    new block shares, the old shares' buffer takes the change, and the two
+    buffers swap names. So no K*M*N array is allocated after the start
+    except at a cut, and both buffers are released before the rounding.
 
     Once at least half of the carriers in the working arrays have zero
     activation, the arrays are cut down to the live carriers, and the
@@ -308,10 +330,11 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     alpha = np.full((K, num_ccs, N), 1.0 / K)
     caps = np.append(instance.ue_cc_caps, instance.system_cc_cap)
     shares = np.repeat((1.0 / caps)[:, None], num_ccs, axis=1)
+    weighted = instance.weighted_utilities
+    scores = np.empty_like(alpha)  # the free buffer: the next block scores
 
     trace: Optional[List[IterationRecord]] = [] if cfg.record_trace else None
     live = np.arange(num_ccs)  # the carriers in the working arrays
-    utilities = instance.utilities
     converged = False
 
     def full_size() -> RelaxedAllocation:
@@ -319,8 +342,9 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
         return RelaxedAllocation(_scatter(alpha, live, num_ccs), beta_gamma[:-1], beta_gamma[-1])
 
     for iteration in range(1, cfg.max_iterations + 1):
-        block_scores, share_scores = _sweep_scores(instance.weights, utilities, alpha, shares)
-        new_alpha = update_alpha(block_scores, alpha)
+        scores, share_scores = _sweep_scores(weighted, alpha, shares, scores)
+        live_cols = scores.sum(axis=0) > 0.0 if cfg.record_trace else None
+        new_alpha = update_alpha(scores, alpha)  # the scores' buffer, normalized
         new_shares = update_beta(share_scores, shares, caps)
 
         residual, zero_rate = 0.0, ()
@@ -328,9 +352,8 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
             # The share sums here run over carriers: take them at full size,
             # so they add in the same order with or without a cut.
             residual, zero_rate = _sum_identity_residual(
-                block_scores, share_scores, new_alpha, _scatter(new_shares, live, num_ccs), caps
+                live_cols, share_scores, new_alpha, _scatter(new_shares, live, num_ccs), caps
             )
-        del block_scores, share_scores  # free the K*M*N block scores now, not at the next sweep
 
         new_alpha, new_shares = _snap(new_alpha), _snap(new_shares)
 
@@ -344,9 +367,10 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
             new_shares[:, dead] = 0.0
             new_alpha[:, dead, :] = 0.0
 
-        # abs in place: one K*M*N temporary, not two, at the sweep's peak.
-        max_change = max(float(np.abs(d, out=d).max()) for d in (new_alpha - alpha, new_shares - shares))
-        alpha, shares = new_alpha, new_shares
+        # The old block shares' buffer takes |new - old|, then the next scores.
+        change = np.abs(np.subtract(new_alpha, alpha, out=alpha), out=alpha)
+        max_change = max(float(change.max()), float(np.abs(new_shares - shares).max()))
+        alpha, scores, shares = new_alpha, alpha, new_shares
 
         if cfg.record_trace:
             relaxed_wsu = evaluate_relaxed_wsu(instance, full_size())
@@ -361,17 +385,22 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
         # C order, and numpy's sums over users then add in another order,
         # which changes last bits.
         if 2 * np.count_nonzero(dead) >= dead.size:
+            del scores  # one full-size buffer fewer while the cut copies are made
             keep = ~dead
             live = live[keep]
-            utilities = utilities.compress(keep, axis=1)
+            weighted = weighted.compress(keep, axis=1)
             alpha = alpha.compress(keep, axis=1)
             shares = shares.compress(keep, axis=1)
+            scores = np.empty_like(alpha)
             caps = np.minimum(caps, live.size)
 
     # Both facts read the same on the live carriers as at full size: a cut
-    # carrier's activation and shares are all exactly 0.
+    # carrier's activation and shares are all exactly 0. The free buffer
+    # takes min(alpha, 1 - alpha).
     active_carriers = int(np.count_nonzero(shares[-1]))
-    binary_distance = max(float(np.minimum(arr, 1.0 - arr).max()) for arr in (alpha, shares))
+    np.minimum(alpha, np.subtract(1.0, alpha, out=scores), out=scores)
+    binary_distance = max(float(scores.max()), float(np.minimum(shares, 1.0 - shares).max()))
+    del scores, weighted  # release both before the rounding
     final = full_size()
     binary = quantize(instance, final)
     return SgpaResult(
@@ -396,11 +425,12 @@ def _scatter(arr: np.ndarray, live: np.ndarray, num_ccs: int) -> np.ndarray:
     return out
 
 
-def _sum_identity_residual(block_scores, share_scores, new_alpha, new_shares, caps):
+def _sum_identity_residual(live_cols, share_scores, new_alpha, new_shares, caps):
     """Worst deviation of the raw update from its normalization identities,
-    and the users whose carrier-share row was held (all scores zero). Caps
-    clipped to the live count give the same targets min(cap, positives)."""
-    live_cols = block_scores.sum(axis=0) > 0
+    and the users whose carrier-share row was held (all scores zero).
+    ``live_cols`` marks the (carrier, block) columns with a positive block
+    score, the ones :func:`update_alpha` normalized. Caps clipped to the
+    live count give the same targets min(cap, positives)."""
     residual = 0.0
     if live_cols.any():
         residual = float(np.abs(new_alpha.sum(axis=0)[live_cols] - 1.0).max())

@@ -1,5 +1,7 @@
 """The iterative solver: update rules, fixed-rate convergence, full solve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,10 +53,11 @@ class TestSweepScores:
         # K=2, M=2, N=1. Weighted utilities W = w * phi = [[2, 8], [6, 3]];
         # rates r = alpha * W = [[1, 2], [3, 2.25]].
         instance = make_instance([2.0, 3.0], [[[1.0], [4.0]], [[2.0], [1.0]]], [1, 1], 1)
+        weighted = instance.weighted_utilities
         alpha = np.array([[[0.5], [0.25]], [[0.5], [0.75]]])
         # The carrier shares beta over the activations gamma = [0.5, 0.25].
         shares = np.array([[0.5, 1.0], [1.0, 0.5], [0.5, 0.25]])
-        blocks, share_scores = _sweep_scores(instance.weights, instance.utilities, alpha, shares)
+        blocks, share_scores = _sweep_scores(weighted, alpha, shares, np.empty_like(alpha))
         # alpha * beta * W
         np.testing.assert_array_equal(blocks[:, :, 0], [[0.5, 2.0], [3.0, 1.125]])
         # beta * gamma * r, then gamma * sum_k beta * r = [0.5 * 3.5, 0.25 * 3.125]
@@ -64,7 +67,7 @@ class TestSweepScores:
         # scores move with gamma.
         doubled = shares.copy()
         doubled[-1] *= 2.0
-        blocks2, share_scores2 = _sweep_scores(instance.weights, instance.utilities, alpha, doubled)
+        blocks2, share_scores2 = _sweep_scores(weighted, alpha, doubled, np.empty_like(alpha))
         np.testing.assert_array_equal(blocks2, blocks)
         np.testing.assert_array_equal(share_scores2, 2.0 * share_scores)
 
@@ -75,18 +78,38 @@ class TestSweepScores:
         K, M, N = 10, 40, 20
         weights = rng.uniform(0.5, 2.0, K)
         utilities = rng.uniform(0.0, 3.0, (K, M, N))
+        weighted = weights[:, None, None] * utilities
         alpha = rng.uniform(0.0, 1.0, (K, M, N))
         shares = rng.uniform(0.0, 1.0, (K + 1, M))
         keep = rng.uniform(size=M) < 0.3
-        full = _sweep_scores(weights, utilities, alpha, shares)
+        full = _sweep_scores(weighted, alpha, shares, np.empty_like(alpha))
+        cut_alpha = alpha.compress(keep, axis=1)
         cut = _sweep_scores(
-            weights,
-            utilities.compress(keep, axis=1),
-            alpha.compress(keep, axis=1),
-            shares.compress(keep, axis=1),
+            weighted.compress(keep, axis=1), cut_alpha, shares.compress(keep, axis=1), np.empty_like(cut_alpha)
         )
         np.testing.assert_array_equal(cut[0], full[0][:, keep])
         np.testing.assert_array_equal(cut[1], full[1][:, keep])
+
+    def test_block_scores_fill_the_given_buffer_with_the_same_bits(self):
+        # The product keeps its order, (alpha * beta) * W, so the reused
+        # buffer holds the bits of the out-of-place product.
+        rng = np.random.default_rng(6)
+        K, M, N = 6, 9, 5
+        weighted = rng.uniform(0.0, 3.0, (K, M, N))
+        alpha = rng.uniform(0.0, 1.0, (K, M, N))
+        shares = rng.uniform(0.0, 1.0, (K + 1, M))
+        buffer = np.full_like(alpha, np.nan)
+        blocks, _ = _sweep_scores(weighted, alpha, shares, buffer)
+        assert blocks is buffer
+        assert blocks.tobytes() == (alpha * shares[:-1, :, None] * weighted).tobytes()
+
+
+def out_of_place_update_alpha(scores, alpha):
+    """The block update as a fresh array: each column of ``scores`` over
+    its sum, or the previous ``alpha`` where that sum is 0."""
+    denom = scores.sum(axis=0, keepdims=True)
+    safe = np.where(denom > 0.0, denom, 1.0)
+    return np.where(denom > 0.0, scores / safe, alpha)
 
 
 class TestUpdateAlpha:
@@ -120,6 +143,31 @@ class TestUpdateAlpha:
         out = update_alpha(alpha * phi, alpha)
         np.testing.assert_array_equal(out[:, 0, 1], [0.5, 0.5])
         assert out[:, 0, 0].sum() == pytest.approx(1.0)
+
+    def test_held_columns_are_copied_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        alpha = rng.uniform(0.0, 1.0, (4, 3, 5))  # not a sum-to-1 column anywhere
+        scores = rng.uniform(0.1, 1.0, (4, 3, 5))
+        held = np.zeros((3, 5), dtype=bool)
+        held[[0, 2, 2], [1, 0, 4]] = True
+        scores[:, held] = 0.0
+        out = update_alpha(scores, alpha)
+        assert out[:, held].tobytes() == alpha[:, held].tobytes()
+        np.testing.assert_allclose(out[:, ~held].sum(axis=0), 1.0)
+
+    def test_normalizes_in_place_to_the_out_of_place_bytes(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            K, M, N = rng.integers(1, 7, size=3)
+            alpha = rng.uniform(0.0, 1.0, (K, M, N))
+            scores = rng.uniform(0.0, 5.0, (K, M, N)) * (rng.uniform(size=(K, M, N)) < 0.6)
+            scores[:, rng.uniform(size=(M, N)) < 0.3] = 0.0  # whole zero columns
+            expected = out_of_place_update_alpha(scores, alpha)
+            before = alpha.copy()
+            out = update_alpha(scores, alpha)
+            assert out is scores
+            assert out.tobytes() == expected.tobytes()
+            assert alpha.tobytes() == before.tobytes()
 
 
 class TestUpdateBeta:
@@ -329,6 +377,23 @@ class TestSolve:
             result = solve(inst, SgpaConfig(max_iterations=sweeps))
             assert result.active_carriers == np.count_nonzero(result.relaxed.gamma > 0.0)
             assert result.binary_distance == binary_distance(result.relaxed)
+
+    def test_sweeps_allocate_no_block_sized_temporaries(self):
+        """The sweep reuses two K*M*N buffers beside the weighted utilities,
+        so one solve of a cut shape, rounding included, peaks below four
+        K*M*N float arrays under tracemalloc (an out-of-place sweep peaks
+        near 4.4)."""
+        inst = sample_instance(GenParams(K=10, M=160, N=20, ue_cc_cap=2, system_cc_cap_limit=8, seed=0))
+        solve(inst)  # first-call setup outside the measurement
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            solve(inst)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * inst.utilities.nbytes
 
 
 class TestTrace:
