@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a Monte-Carlo sweep from a JSON config")
     p_sweep.add_argument("--config", required=True, help="sweep config JSON path")
     p_sweep.add_argument("-o", "--output", required=True, help="results CSV path")
-    p_sweep.add_argument("--jobs", type=int, default=None, help="parallel trial workers")
+    p_sweep.add_argument("--jobs", type=int, default=None,
+                         help="parallel trial workers (at most one per trial and per CPU)")
 
     p_fig1 = sub.add_parser("fig1", help="carrier-share convergence trajectory CSV")
     p_fig1.add_argument("--M", type=int, required=True)

@@ -13,18 +13,20 @@ quantization rounds what is left, each block by weighted utility. The start
 fixed; :class:`SgpaConfig` sets only the sweep budget and the trace.
 
 The normalization multiplier is found exactly by a breakpoint scan over the
-sorted rates (no root-finding). One scan, :func:`_normalize_rows`, serves
-every normalization: it takes a whole array of rows with one cap each, so
-one call normalizes every share row, and it skips the scan when every row
-has at most its cap of positive scores (they all saturate). Input is
+sorted rates (no root-finding). One scan, :func:`_breakpoint_scan`, serves
+every normalization: it takes a whole array of rows with one cap each, and
+only the rows with more positive scores than their cap need it (a row at or
+below its cap saturates: its positive scores all become 1). Input is
 validated only at the public entry, :func:`capped_simplex_normalize`; the
 updates inside :func:`solve` call the scan directly.
 
-The sweep's cost is linear in K*M*N, and its K*M*N passes run in place:
-:func:`solve` forms the weighted utilities once, writes each sweep's block
-scores into a buffer it reuses, and :func:`update_alpha` normalizes them
-there. Apart from its start and its cuts, a solve allocates no K*M*N array
-until the rounding.
+The sweep's cost is linear in K*M*N, and its passes run in place. An iterate
+is one flat buffer, with the block shares and the share matrix as two views
+of it. :func:`solve` forms the weighted utilities once, writes each sweep's
+block and share scores into a second such buffer, and :func:`update_alpha`
+and :func:`update_beta` normalize them there; the snap and the change then
+take one pass each over the whole buffer. Apart from its start and its cuts,
+a solve allocates no K*M*N array until the rounding.
 
 A carrier whose activation reaches exactly 0 stays switched off, and every
 share under it is 0 from then on. Once at least half of the carriers in its
@@ -119,8 +121,8 @@ def capped_simplex_normalize(v, cap: int) -> NormalizationSolution:
     falls short of the cap.
 
     This is the checked entry point: it validates ``v`` and ``cap`` once and
-    hands one row to the batched breakpoint scan the solver's updates call
-    directly (see :func:`_normalize_rows`).
+    hands one row to :func:`_normalize_rows`, which runs the breakpoint scan
+    the solver's updates call directly (see :func:`_breakpoint_scan`).
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -147,6 +149,22 @@ def _normalize_rows(v: np.ndarray, caps: np.ndarray) -> tuple:
     (rows,), as :func:`capped_simplex_normalize` defines them per row.
 
     Unchecked: every row must hold a positive score, and 1 <= caps <= P.
+    A row with at most its cap of positive scores saturates: ``x`` is its
+    positive mask and kappa its smallest positive score. Only the other
+    rows go through :func:`_breakpoint_scan`.
+    """
+    positive = v > 0.0
+    x = positive.astype(float)
+    kappa = np.where(positive, v, np.inf).min(axis=1)
+    scan = positive.sum(axis=1) > caps
+    if scan.any():
+        x[scan], kappa[scan] = _breakpoint_scan(v[scan], caps[scan])
+    return x, kappa
+
+
+def _breakpoint_scan(v: np.ndarray, caps: np.ndarray) -> tuple:
+    """``x`` and ``kappa`` of rows that each hold more positive scores than
+    their cap, as :func:`_normalize_rows` returns them.
 
     The solve is exact, not iterative. With a row's scores sorted
     descending, the number of saturated entries t is the first value in
@@ -154,15 +172,9 @@ def _normalize_rows(v: np.ndarray, caps: np.ndarray) -> tuple:
     (cap - t) lands between the scores at positions t and t-1. Each row is
     sorted ascending, so the zeros lead and add exactly 0.0 to the running
     sums, which therefore carry the same bits as sums over the positive
-    scores alone. O(P log P) per row. When every row has at most ``cap``
-    positive scores, all of them saturate and no scan is needed.
+    scores alone. O(P log P) per row, and each row's result is independent
+    of the other rows passed with it.
     """
-    positive = v > 0.0
-    counts = positive.sum(axis=1)
-    saturated = counts <= caps
-    if saturated.all():
-        return positive.astype(float), np.where(positive, v, np.inf).min(axis=1)
-
     asc = np.sort(v, axis=1)
     width = int(caps.max())
     desc = asc[:, : -width - 1 : -1]  # the largest `width` scores, descending
@@ -173,43 +185,43 @@ def _normalize_rows(v: np.ndarray, caps: np.ndarray) -> tuple:
     # tail entry absorbed by the sum can land kappa exactly on desc[t]);
     # neighbouring t values give the same x to within the slack there. The
     # first t passing the lower test alone is that one: the test holds at
-    # t = cap - 1 (kappa is the tail sum there), and failing it at t - 1
-    # puts kappa[t] below desc[t-1] by more than rounding (normal floats).
+    # t = cap - 1 (kappa is the tail sum there, and a float sum of
+    # nonnegative terms is at least each term), so every row has one, and
+    # failing it at t - 1 puts kappa[t] below desc[t-1] by more than
+    # rounding (normal floats).
     fits = kappa >= desc * (1.0 - 1e-12)
-    if not (fits.any(axis=1) | saturated).all():
-        raise RuntimeError("no saturation level satisfied the breakpoint conditions")
     kappa = kappa[np.arange(len(v)), fits.argmax(axis=1)]
-    if saturated.any():
-        # A row with at most cap positive scores takes its smallest positive
-        # score, so min(1, v / kappa) is exactly 1 on every positive entry.
-        kappa[saturated] = asc[saturated, v.shape[1] - counts[saturated]]
     x = np.minimum(1.0, v / kappa[:, None])
-    x[~positive] = 0.0
+    x[v == 0.0] = 0.0  # a zero score of either sign maps to +0.0
     return x, kappa
 
 
-def _sweep_scores(weighted, alpha, shares, out) -> tuple:
+def _sweep_scores(weighted, alpha, shares, blocks, share_scores) -> tuple:
     """The block scores and the share scores of one sweep, each product
-    formed once. ``weighted`` holds the weighted utilities
-    ``W = w_k * phi[k, m, n]`` and ``shares`` stacks ``beta`` (rows
-    0..K-1) over ``gamma``. The block scores are written into ``out``, a
-    buffer of ``alpha``'s shape that the solver reuses every sweep.
+    formed once and written into the given buffers, ``blocks`` of
+    ``alpha``'s shape and ``share_scores`` of ``shares``' shape; returns
+    both. ``weighted`` holds the weighted utilities ``W = w_k * phi[k, m, n]``
+    and ``shares`` stacks ``beta`` (rows 0..K-1) over ``gamma``.
 
     With per-carrier rates ``r[k, m] = sum_n alpha[k, m, n] * W[k, m, n]``,
     the block scores are ``alpha * beta * W`` and the share scores
     ``shares * rates``, whose rates are ``gamma * r`` in the user rows and
-    ``sum_k beta * r`` in the activation row. The activations cancel in the
-    block update and do not appear there. The arrays may hold any subset of
-    the carriers: every sum here runs over users or blocks, never over
-    carriers, so each carrier's scores do not depend on which other
-    carriers are present.
+    ``sum_k beta * r`` in the activation row. The rates are formed in
+    ``share_scores`` itself and multiplied by the shares there. The
+    activations cancel in the block update and do not appear there. The
+    arrays may hold any subset of the carriers: every sum here runs over
+    users or blocks, never over carriers, so each carrier's scores do not
+    depend on which other carriers are present.
     """
     beta, gamma = shares[:-1], shares[-1]
     per_cc = np.einsum("kmn,kmn->km", alpha, weighted)
-    rates = np.vstack((gamma * per_cc, (beta * per_cc).sum(axis=0)))
-    blocks = np.multiply(alpha, beta[:, :, None], out=out)
+    np.multiply(gamma, per_cc, out=share_scores[:-1])
+    per_cc *= beta
+    per_cc.sum(axis=0, out=share_scores[-1])
+    share_scores *= shares
+    np.multiply(alpha, beta[:, :, None], out=blocks)
     blocks *= weighted
-    return blocks, shares * rates
+    return blocks, share_scores
 
 
 def update_alpha(scores: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -219,27 +231,42 @@ def update_alpha(scores: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     either way), copied bit for bit."""
     denom = scores.sum(axis=0)
     live = denom > 0.0
-    scores /= np.where(live, denom, 1.0)
-    np.copyto(scores, alpha, where=~live)
+    if live.all():
+        scores /= denom
+    else:
+        scores /= np.where(live, denom, 1.0)
+        np.copyto(scores, alpha, where=~live)
     return scores
 
 
 def update_beta(scores: np.ndarray, shares: np.ndarray, caps) -> np.ndarray:
-    """One share update for every row at once: capped-simplex normalization
-    of score row r with ``caps[r]`` as the target sum. :func:`solve` passes
-    every user's carrier shares (cap ``M_k``) and, as the last row, the
-    activations (cap ``M0``). A row whose scores are all zero keeps its
-    previous shares."""
-    live = scores.max(axis=1) > 0.0
-    out = shares.copy()
-    out[live] = _normalize_rows(scores[live], np.asarray(caps)[live])[0]
-    return out
+    """One share update for every row at once, in place: capped-simplex
+    normalization of score row r with ``caps[r]`` as the target sum, written
+    over ``scores``, which is returned. :func:`solve` passes every user's
+    carrier shares (cap ``M_k``) and, as the last row, the activations (cap
+    ``M0``).
+
+    A row with at most its cap of positive scores saturates: it becomes its
+    positive mask, as floats. A row whose scores are all zero keeps its
+    previous shares, copied bit for bit. Only the rows with more positive
+    scores than their cap go through the breakpoint scan."""
+    new = scores > 0.0  # a row at or below its cap: its positive mask
+    counts = new.sum(axis=1)
+    scan = counts > caps
+    if scan.any():
+        new = new.astype(float)
+        new[scan] = _breakpoint_scan(scores[scan], np.asarray(caps)[scan])[0]
+    np.copyto(scores, new)
+    if not counts.all():
+        held = counts == 0
+        scores[held] = shares[held]
+    return scores
 
 
 def update_gamma(scores: np.ndarray, gamma: np.ndarray, cap: int) -> np.ndarray:
     """One activation update on its own: :func:`update_beta` of the single
-    row ``gamma`` with the system cap. :func:`solve` updates the activations
-    as the last row of its share matrix instead."""
+    row ``gamma`` with the system cap, in place over ``scores``. :func:`solve`
+    updates the activations as the last row of its share matrix instead."""
     return update_beta(scores[None, :], gamma[None, :], [cap])[0]
 
 
@@ -248,9 +275,10 @@ class IterationRecord:
     """Per-iteration diagnostics.
 
     ``relaxed_wsu`` is :func:`~caralloc.core.evaluate_relaxed_wsu` of the
-    full-size iterate after the sweep. ``sum_residual`` is the worst deviation of the raw (pre-snap) update from
-    its normalization identities: block columns summing to 1, carrier-share
-    rows and activations summing to min(cap, number of positive scores).
+    full-size iterate after the sweep. ``sum_residual`` is the worst
+    deviation of the raw (pre-snap) update from its normalization
+    identities: block columns summing to 1, carrier-share rows and
+    activations summing to min(cap, number of positive scores).
     ``zero_rate_ues`` lists users whose carrier-share row was held because
     every score was zero (a held activation row is not listed).
     """
@@ -303,12 +331,15 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     ``CONVERGENCE_TOLERANCE``. A row with no positive score keeps its
     shares, so an instance with no positive utility stops at its start.
 
-    The sweep runs in place on two K*M*N buffers beside the weighted
-    utilities, which are formed once per solve. The block scores go into
-    the free buffer, :func:`update_alpha` normalizes them there into the
-    new block shares, the old shares' buffer takes the change, and the two
-    buffers swap names. So no K*M*N array is allocated after the start
-    except at a cut, and both buffers are released before the rounding.
+    An iterate is one flat buffer: ``alpha`` and the share matrix are two
+    views of it, so the snap, the change and the final distance from binary
+    each take one pass over the buffer. The sweep runs in place on two such
+    buffers beside the weighted utilities, which are formed once per solve.
+    The block and share scores go into the free buffer, :func:`update_alpha`
+    and :func:`update_beta` normalize them there into the new iterate, the
+    old iterate's buffer takes the change, and the two buffers swap names.
+    So no K*M*N array is allocated after the start except at a cut, and the
+    free buffer is released before the rounding.
 
     Once at least half of the carriers in the working arrays have zero
     activation, the arrays are cut down to the live carriers, and the
@@ -327,11 +358,12 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     # Every entry of the start lies far above ZERO_TOLERANCE, and after every
     # _snap the iterate lies in {0} and (ZERO_TOLERANCE, 1], so the sweeps
     # run on plain arrays.
-    alpha = np.full((K, num_ccs, N), 1.0 / K)
     caps = np.append(instance.ue_cc_caps, instance.system_cc_cap)
-    shares = np.repeat((1.0 / caps)[:, None], num_ccs, axis=1)
+    iterate, alpha, shares = _iterate_buffer(K, num_ccs, N)
+    alpha.fill(1.0 / K)
+    shares[...] = (1.0 / caps)[:, None]
     weighted = instance.weighted_utilities
-    scores = np.empty_like(alpha)  # the free buffer: the next block scores
+    free, new_alpha, new_shares = _iterate_buffer(K, num_ccs, N)  # the next scores
 
     trace: Optional[List[IterationRecord]] = [] if cfg.record_trace else None
     live = np.arange(num_ccs)  # the carriers in the working arrays
@@ -342,20 +374,22 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
         return RelaxedAllocation(_scatter(alpha, live, num_ccs), beta_gamma[:-1], beta_gamma[-1])
 
     for iteration in range(1, cfg.max_iterations + 1):
-        scores, share_scores = _sweep_scores(weighted, alpha, shares, scores)
-        live_cols = scores.sum(axis=0) > 0.0 if cfg.record_trace else None
-        new_alpha = update_alpha(scores, alpha)  # the scores' buffer, normalized
-        new_shares = update_beta(share_scores, shares, caps)
+        _sweep_scores(weighted, alpha, shares, new_alpha, new_shares)
+        if cfg.record_trace:
+            live_cols = new_alpha.sum(axis=0) > 0.0
+            positives = (new_shares > 0.0).sum(axis=1)
+        update_alpha(new_alpha, alpha)  # normalized where the scores sit
+        update_beta(new_shares, shares, caps)
 
         residual, zero_rate = 0.0, ()
         if cfg.record_trace:
             # The share sums here run over carriers: take them at full size,
             # so they add in the same order with or without a cut.
             residual, zero_rate = _sum_identity_residual(
-                live_cols, share_scores, new_alpha, _scatter(new_shares, live, num_ccs), caps
+                live_cols, positives, new_alpha, _scatter(new_shares, live, num_ccs), caps
             )
 
-        new_alpha, new_shares = _snap(new_alpha), _snap(new_shares)
+        _snap(free)
 
         # Active-set removal cascades: a carrier whose activation hit exact
         # zero can never recover (its rates are identically zero from here
@@ -363,14 +397,17 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
         # keeps them from freezing at stale fractional values; live dynamics
         # are unaffected because every path through them carries the zero.
         dead = new_shares[-1] == 0.0
-        if dead.any():
+        dead_count = np.count_nonzero(dead)
+        if dead_count:
             new_shares[:, dead] = 0.0
             new_alpha[:, dead, :] = 0.0
 
-        # The old block shares' buffer takes |new - old|, then the next scores.
-        change = np.abs(np.subtract(new_alpha, alpha, out=alpha), out=alpha)
-        max_change = max(float(change.max()), float(np.abs(new_shares - shares).max()))
-        alpha, scores, shares = new_alpha, alpha, new_shares
+        # The old iterate's buffer takes |new - old|, then the next scores.
+        np.abs(np.subtract(free, iterate, out=iterate), out=iterate)
+        max_change = float(iterate.max())
+        iterate, alpha, shares, free, new_alpha, new_shares = (
+            free, new_alpha, new_shares, iterate, alpha, shares
+        )
 
         if cfg.record_trace:
             relaxed_wsu = evaluate_relaxed_wsu(instance, full_size())
@@ -384,23 +421,26 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
         # compress, not boolean indexing: a masked array comes back out of
         # C order, and numpy's sums over users then add in another order,
         # which changes last bits.
-        if 2 * np.count_nonzero(dead) >= dead.size:
-            del scores  # one full-size buffer fewer while the cut copies are made
+        if 2 * dead_count >= dead.size:
+            del free, new_alpha, new_shares  # released before the cut's copies
             keep = ~dead
             live = live[keep]
             weighted = weighted.compress(keep, axis=1)
-            alpha = alpha.compress(keep, axis=1)
-            shares = shares.compress(keep, axis=1)
-            scores = np.empty_like(alpha)
+            cut = _iterate_buffer(K, live.size, N)
+            alpha.compress(keep, axis=1, out=cut[1])
+            shares.compress(keep, axis=1, out=cut[2])
+            iterate, alpha, shares = cut
+            del cut
+            free, new_alpha, new_shares = _iterate_buffer(K, live.size, N)
             caps = np.minimum(caps, live.size)
 
     # Both facts read the same on the live carriers as at full size: a cut
     # carrier's activation and shares are all exactly 0. The free buffer
-    # takes min(alpha, 1 - alpha).
+    # takes min(x, 1 - x).
     active_carriers = int(np.count_nonzero(shares[-1]))
-    np.minimum(alpha, np.subtract(1.0, alpha, out=scores), out=scores)
-    binary_distance = max(float(scores.max()), float(np.minimum(shares, 1.0 - shares).max()))
-    del scores, weighted  # release both before the rounding
+    np.minimum(iterate, np.subtract(1.0, iterate, out=free), out=free)
+    binary_distance = float(free.max())
+    del free, new_alpha, new_shares, weighted  # release both before the rounding
     final = full_size()
     binary = quantize(instance, final)
     return SgpaResult(
@@ -415,6 +455,14 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     )
 
 
+def _iterate_buffer(K: int, num_ccs: int, N: int) -> tuple:
+    """A flat buffer for one iterate and its two views: the block shares
+    (K, M, N) and the share matrix (K+1, M)."""
+    size = K * num_ccs * N
+    flat = np.empty(size + (K + 1) * num_ccs)
+    return flat, flat[:size].reshape(K, num_ccs, N), flat[size:].reshape(K + 1, num_ccs)
+
+
 def _scatter(arr: np.ndarray, live: np.ndarray, num_ccs: int) -> np.ndarray:
     """``arr``, whose carrier axis 1 holds the ``live`` carriers, at full
     size with zeros at every other carrier."""
@@ -425,17 +473,17 @@ def _scatter(arr: np.ndarray, live: np.ndarray, num_ccs: int) -> np.ndarray:
     return out
 
 
-def _sum_identity_residual(live_cols, share_scores, new_alpha, new_shares, caps):
+def _sum_identity_residual(live_cols, positives, new_alpha, new_shares, caps):
     """Worst deviation of the raw update from its normalization identities,
     and the users whose carrier-share row was held (all scores zero).
     ``live_cols`` marks the (carrier, block) columns with a positive block
-    score, the ones :func:`update_alpha` normalized. Caps clipped to the
-    live count give the same targets min(cap, positives)."""
+    score, the ones :func:`update_alpha` normalized, and ``positives``
+    counts each share row's positive scores. Caps clipped to the live count
+    give the same targets min(cap, positives)."""
     residual = 0.0
     if live_cols.any():
         residual = float(np.abs(new_alpha.sum(axis=0)[live_cols] - 1.0).max())
 
-    positives = (share_scores > 0).sum(axis=1)
     live_rows = positives > 0
     if live_rows.any():
         deviation = np.abs(new_shares.sum(axis=1) - np.minimum(caps, positives))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -313,7 +314,9 @@ def run_sweep(config: SweepConfig) -> List[ResultRow]:
     oracle row is marked skipped and comes after its other rows. Where the
     oracle ran, every other row counts in ``above_oracle`` the trials whose
     WSU beats the oracle's by more than 1e-9. With ``jobs > 1`` the trials
-    of every grid point share one process pool.
+    of every grid point share one process pool of at most ``jobs`` workers,
+    no more than there are trials or CPUs; where that leaves one worker,
+    the trials run in this process.
     """
     points = config.grid_points()
     tasks = [
@@ -322,10 +325,13 @@ def run_sweep(config: SweepConfig) -> List[ResultRow]:
         for trial_index in range(config.trials)
     ]
 
-    if config.jobs > 1:
+    # A fork-started pool forks every worker at its first submit, so the
+    # pool is sized to the work and the machine, not to the request alone.
+    workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         # One trial per task: trial cost grows along the grid, so larger
         # chunks would leave one worker running the heaviest ones alone.
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_trial, tasks))
     else:
         results = [_run_trial(task) for task in tasks]

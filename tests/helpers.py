@@ -243,7 +243,9 @@ def reference_oracle(instance):
     Activation sets are walked in ascending size, lexicographic within each
     size; so are each user's carrier subsets. Ties keep the first
     combination found, and the allocation admits and activates the whole
-    winning combination, used or not.
+    winning combination, used or not. Each activation set's combinations
+    are valued in batches, in walk order, so the first largest value of a
+    batch is the one a one-by-one walk would keep.
     """
     K, M, N = instance.num_ues, instance.num_ccs, instance.num_rbs_per_cc
     weighted = instance.weighted_utilities
@@ -253,30 +255,17 @@ def reference_oracle(instance):
     best_membership = None
 
     for size in range(instance.system_cc_cap + 1):
+        memberships = _membership_stack(instance.ue_cc_caps, size)
         for active in itertools.combinations(range(M), size):
-            active_arr = np.array(active, dtype=int)
-            w_active = weighted[:, active_arr, :] if size else np.zeros((K, 0, N))
-
-            per_ue_subsets = []
-            for k in range(K):
-                cap = min(int(instance.ue_cc_caps[k]), size)
-                masks = []
-                for count in range(cap + 1):
-                    for chosen in itertools.combinations(range(size), count):
-                        mask = np.zeros(size, dtype=bool)
-                        mask[list(chosen)] = True
-                        masks.append(mask)
-                per_ue_subsets.append(masks)
-
-            for combo in itertools.product(*per_ue_subsets):
-                membership = np.array(combo, dtype=bool).reshape(K, size)
-                value = float(
-                    (w_active * membership[:, :, None]).max(axis=0).sum()
-                ) if size else 0.0
-                if value > best_value:
-                    best_value = value
+            w_active = weighted[:, np.array(active, dtype=int), :]
+            for start in range(0, len(memberships), REFERENCE_BATCH):
+                batch = memberships[start : start + REFERENCE_BATCH]
+                values = (w_active[None] * batch[..., None]).max(axis=1).sum(axis=(1, 2))
+                first = int(np.argmax(values))
+                if values[first] > best_value:
+                    best_value = float(values[first])
                     best_active = active
-                    best_membership = membership
+                    best_membership = batch[first]
 
     beta = np.zeros((K, M), dtype=np.int8)
     gamma = np.zeros(M, dtype=np.int8)
@@ -285,6 +274,30 @@ def reference_oracle(instance):
         beta[:, list(best_active)] = best_membership
     allocation = BinaryAllocation(block_winners(instance, beta, gamma), beta, gamma)
     return allocation, evaluate_wsu(instance, allocation)
+
+
+#: Combinations valued at once by :func:`reference_oracle`, which bounds
+#: its temporaries to a few MB.
+REFERENCE_BATCH = 4096
+
+
+def _membership_stack(caps, size):
+    """Every combination of per-user carrier subsets of an activation set of
+    ``size`` carriers, in :func:`reference_oracle`'s walk order, as a bool
+    array (combinations, K, size): user k takes every subset of at most
+    ``caps[k]`` carriers, by count and then lexicographically, and the last
+    user's subset varies fastest."""
+    per_ue = []
+    for cap in caps:
+        masks = []
+        for count in range(min(int(cap), size) + 1):
+            for chosen in itertools.combinations(range(size), count):
+                mask = np.zeros(size, dtype=bool)
+                mask[list(chosen)] = True
+                masks.append(mask)
+        per_ue.append(np.array(masks).reshape(len(masks), size))
+    picks = np.indices([len(masks) for masks in per_ue]).reshape(len(per_ue), -1)
+    return np.stack([masks[pick] for masks, pick in zip(per_ue, picks)], axis=1)
 
 
 def alpha_rounding(instance, relaxed):

@@ -114,15 +114,43 @@ class TestKernelAgainstReference:
             assert sol.x.tobytes() == reference_capped_simplex_normalize(v, cap).x.tobytes()
 
 
+def out_of_place_update_beta(scores, shares, caps):
+    """The share update as a fresh array: each held row (no positive score)
+    copied from ``shares``, every other row through ``_normalize_rows``."""
+    out = shares.copy()
+    live = scores.max(axis=1) > 0.0
+    out[live] = _normalize_rows(scores[live], caps[live])[0]
+    return out
+
+
 class TestUpdates:
+    def test_update_beta_normalizes_in_place_to_the_out_of_place_bytes(self):
+        rng = np.random.default_rng(18)
+        rows = {"saturated": 0, "held": 0, "scanned": 0}
+        all_three = 0
+        for kind, scores, caps in score_sets(count=400, seed=19):
+            shares = rng.uniform(0.1, 1.0, scores.shape)
+            expected = out_of_place_update_beta(scores, shares, caps)
+            counts = (scores > 0.0).sum(axis=1)
+            seen = {"held": counts == 0, "saturated": (counts > 0) & (counts <= caps), "scanned": counts > caps}
+            before = shares.copy()
+            out = update_beta(scores, shares, caps)
+            assert out is scores
+            assert out.tobytes() == expected.tobytes(), kind
+            assert shares.tobytes() == before.tobytes()
+            for name, mask in seen.items():
+                rows[name] += int(mask.sum())
+            all_three += all(mask.any() for mask in seen.values())
+        assert min(rows.values()) >= 50 and all_three >= 20
+
     def test_update_beta_rows_and_held_rows(self):
         rng = np.random.default_rng(14)
         held_rows = 0
         for kind, scores, caps in score_sets(count=300, seed=15):
             beta = rng.uniform(0.1, 1.0, scores.shape)
             previous = beta.copy()
-            out = update_beta(scores, beta, caps)
-            assert beta.tobytes() == previous.tobytes()  # the input is left alone
+            out = update_beta(scores.copy(), beta, caps)
+            assert beta.tobytes() == previous.tobytes()  # the shares are left alone
             for k in range(len(scores)):
                 if scores[k].max() > 0.0:
                     expected = reference_capped_simplex_normalize(scores[k], caps[k]).x
@@ -175,9 +203,9 @@ class TestUpdates:
                 scores[-1] = 0.0
             shares = rng.uniform(0.1, 1.0, scores.shape)
             scanned += not np.all((scores > 0).sum(axis=1) <= caps)
-            stacked = update_beta(scores, shares, caps)
+            stacked = update_beta(scores.copy(), shares, caps)
             for r in range(K + 1):
-                alone = update_beta(scores[r : r + 1], shares[r : r + 1], caps[r : r + 1])[0]
+                alone = update_beta(scores[r : r + 1].copy(), shares[r : r + 1], caps[r : r + 1])[0]
                 assert stacked[r].tobytes() == alone.tobytes(), (i, r)
                 if not scores[r].max() > 0.0:
                     assert stacked[r].tobytes() == shares[r].tobytes()

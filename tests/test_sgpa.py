@@ -57,7 +57,7 @@ class TestSweepScores:
         alpha = np.array([[[0.5], [0.25]], [[0.5], [0.75]]])
         # The carrier shares beta over the activations gamma = [0.5, 0.25].
         shares = np.array([[0.5, 1.0], [1.0, 0.5], [0.5, 0.25]])
-        blocks, share_scores = _sweep_scores(weighted, alpha, shares, np.empty_like(alpha))
+        blocks, share_scores = _sweep_scores(weighted, alpha, shares, np.empty_like(alpha), np.empty_like(shares))
         # alpha * beta * W
         np.testing.assert_array_equal(blocks[:, :, 0], [[0.5, 2.0], [3.0, 1.125]])
         # beta * gamma * r, then gamma * sum_k beta * r = [0.5 * 3.5, 0.25 * 3.125]
@@ -67,7 +67,7 @@ class TestSweepScores:
         # scores move with gamma.
         doubled = shares.copy()
         doubled[-1] *= 2.0
-        blocks2, share_scores2 = _sweep_scores(weighted, alpha, doubled, np.empty_like(alpha))
+        blocks2, share_scores2 = _sweep_scores(weighted, alpha, doubled, np.empty_like(alpha), np.empty_like(shares))
         np.testing.assert_array_equal(blocks2, blocks)
         np.testing.assert_array_equal(share_scores2, 2.0 * share_scores)
 
@@ -82,10 +82,10 @@ class TestSweepScores:
         alpha = rng.uniform(0.0, 1.0, (K, M, N))
         shares = rng.uniform(0.0, 1.0, (K + 1, M))
         keep = rng.uniform(size=M) < 0.3
-        full = _sweep_scores(weighted, alpha, shares, np.empty_like(alpha))
-        cut_alpha = alpha.compress(keep, axis=1)
+        full = _sweep_scores(weighted, alpha, shares, np.empty_like(alpha), np.empty_like(shares))
+        cut_alpha, cut_shares = alpha.compress(keep, axis=1), shares.compress(keep, axis=1)
         cut = _sweep_scores(
-            weighted.compress(keep, axis=1), cut_alpha, shares.compress(keep, axis=1), np.empty_like(cut_alpha)
+            weighted.compress(keep, axis=1), cut_alpha, cut_shares, np.empty_like(cut_alpha), np.empty_like(cut_shares)
         )
         np.testing.assert_array_equal(cut[0], full[0][:, keep])
         np.testing.assert_array_equal(cut[1], full[1][:, keep])
@@ -99,9 +99,25 @@ class TestSweepScores:
         alpha = rng.uniform(0.0, 1.0, (K, M, N))
         shares = rng.uniform(0.0, 1.0, (K + 1, M))
         buffer = np.full_like(alpha, np.nan)
-        blocks, _ = _sweep_scores(weighted, alpha, shares, buffer)
+        blocks, _ = _sweep_scores(weighted, alpha, shares, buffer, np.empty_like(shares))
         assert blocks is buffer
         assert blocks.tobytes() == (alpha * shares[:-1, :, None] * weighted).tobytes()
+
+    def test_share_scores_fill_the_given_buffer_with_the_same_bits(self):
+        # The rates are formed in the share buffer itself and then scaled
+        # there, to the bits of the out-of-place shares * rates.
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            K, M, N = rng.integers(1, 12, size=3)
+            weighted = rng.uniform(0.0, 3.0, (K, M, N))
+            alpha = rng.uniform(0.0, 1.0, (K, M, N))
+            shares = rng.uniform(0.0, 1.0, (K + 1, M)) * (rng.uniform(size=(K + 1, M)) < 0.8)
+            buffer = np.full_like(shares, np.nan)
+            _, share_scores = _sweep_scores(weighted, alpha, shares, np.empty_like(alpha), buffer)
+            assert share_scores is buffer
+            per_cc = np.einsum("kmn,kmn->km", alpha, weighted)
+            rates = np.vstack((shares[-1] * per_cc, (shares[:-1] * per_cc).sum(axis=0)))
+            assert share_scores.tobytes() == (shares * rates).tobytes()
 
 
 def out_of_place_update_alpha(scores, alpha):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from caralloc import simharness
 from caralloc.core import evaluate_wsu, top_cap_indicator
 from caralloc.sgpa import SgpaConfig
 from caralloc.simharness import (
@@ -186,6 +187,42 @@ class TestRunSweep:
 
         assert len(sequential) == 4
         assert untimed(sequential) == untimed(parallel)
+
+    @pytest.mark.parametrize(
+        "jobs, trials, cpus, workers",
+        [(5000, 3, 64, 6), (5000, 3, 4, 4), (3, 3, 64, 3), (2, 1, 64, 2), (5000, 1, 1, None), (4, 3, None, None)],
+    )
+    def test_pool_is_sized_to_the_trials_and_cpus(self, monkeypatch, jobs, trials, cpus, workers):
+        """The pool gets min(jobs, trials, CPUs) workers, and one worker means
+        no pool at all (a fork-started pool forks every worker at once, so
+        ``--jobs 5000`` must not ask for 5000). A stub executor records the
+        request and runs the trials here; the rows match a serial run."""
+        requested = []
+
+        class StubExecutor:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        config = SweepConfig(algorithms=("greedy",), gen=small_params(), trials=trials, base_seed=4, m_grid=(3, 4))
+        serial = run_sweep(config)
+        monkeypatch.setattr(simharness, "ProcessPoolExecutor", StubExecutor)
+        monkeypatch.setattr(simharness.os, "cpu_count", lambda: cpus)
+        rows = run_sweep(replace(config, jobs=jobs))
+        assert requested == ([] if workers is None else [workers])
+
+        def untimed(rows):
+            return [{**asdict(row), "mean_solve_seconds": None} for row in rows]
+
+        assert untimed(rows) == untimed(serial)
 
     def test_oracle_budget_marks_row_skipped(self):
         config = SweepConfig(
