@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True, help="sweep config JSON path")
     p_sweep.add_argument("-o", "--output", required=True, help="results CSV path")
     p_sweep.add_argument("--jobs", type=int, default=None,
-                         help="parallel trial workers (at most one per trial and per CPU)")
+                         help="parallel trial workers (at most one per trial and per usable CPU)")
 
     p_fig1 = sub.add_parser("fig1", help="carrier-share convergence trajectory CSV")
     p_fig1.add_argument("--M", type=int, required=True)

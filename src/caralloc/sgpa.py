@@ -13,12 +13,14 @@ quantization rounds what is left, each block by weighted utility. The start
 fixed; :class:`SgpaConfig` sets only the sweep budget and the trace.
 
 The normalization multiplier is found exactly by a breakpoint scan over the
-sorted rates (no root-finding). One scan, :func:`_breakpoint_scan`, serves
-every normalization: it takes a whole array of rows with one cap each, and
-only the rows with more positive scores than their cap need it (a row at or
-below its cap saturates: its positive scores all become 1). Input is
-validated only at the public entry, :func:`capped_simplex_normalize`; the
-updates inside :func:`solve` call the scan directly.
+sorted rates (no root-finding). One routine, :func:`_normalize_rows`, serves
+every normalization: it takes a whole array of rows with one cap each; a row
+at or below its cap saturates (its positive scores all become 1), and only
+the rows with more positive scores than their cap go through the scan,
+:func:`_breakpoint_scan`. Scores are validated only at the public entry,
+:func:`capped_simplex_normalize`; the updates inside :func:`solve` call
+:func:`_normalize_rows` directly and check only that the scores are floats
+they can write the new shares over.
 
 The sweep's cost is linear in K*M*N, and its passes run in place. An iterate
 is one flat buffer, with the block shares and the share matrix as two views
@@ -121,8 +123,8 @@ def capped_simplex_normalize(v, cap: int) -> NormalizationSolution:
     falls short of the cap.
 
     This is the checked entry point: it validates ``v`` and ``cap`` once and
-    hands one row to :func:`_normalize_rows`, which runs the breakpoint scan
-    the solver's updates call directly (see :func:`_breakpoint_scan`).
+    hands one row to :func:`_normalize_rows`, which the solver's updates
+    call directly.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -148,14 +150,14 @@ def _normalize_rows(v: np.ndarray, caps: np.ndarray) -> tuple:
     row r onto sum ``caps[r]``: the arrays ``x`` (rows, P) and ``kappa``
     (rows,), as :func:`capped_simplex_normalize` defines them per row.
 
-    Unchecked: every row must hold a positive score, and 1 <= caps <= P.
-    A row with at most its cap of positive scores saturates: ``x`` is its
-    positive mask and kappa its smallest positive score. Only the other
-    rows go through :func:`_breakpoint_scan`.
+    Unchecked: 1 <= caps <= P. A row with at most its cap of positive
+    scores saturates: ``x`` is its positive mask and kappa its smallest
+    positive score (a row with none comes out all zero, with kappa inf).
+    Only the other rows go through :func:`_breakpoint_scan`.
     """
     positive = v > 0.0
     x = positive.astype(float)
-    kappa = np.where(positive, v, np.inf).min(axis=1)
+    kappa = v.min(axis=1, where=positive, initial=np.inf)
     scan = positive.sum(axis=1) > caps
     if scan.any():
         x[scan], kappa[scan] = _breakpoint_scan(v[scan], caps[scan])
@@ -228,39 +230,37 @@ def update_alpha(scores: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """One block-share update, in place: scale each (carrier, block) column
     of ``scores`` to sum to 1 and return ``scores``. A column whose scores
     are all zero takes its previous shares ``alpha`` (it earns nothing
-    either way), copied bit for bit."""
+    either way), copied bit for bit. ``scores`` must be a float64 array,
+    since the new shares are written over it."""
+    _check_float(scores)
     denom = scores.sum(axis=0)
     live = denom > 0.0
-    if live.all():
-        scores /= denom
-    else:
-        scores /= np.where(live, denom, 1.0)
-        np.copyto(scores, alpha, where=~live)
+    scores /= np.where(live, denom, 1.0)
+    np.copyto(scores, alpha, where=~live)
     return scores
 
 
 def update_beta(scores: np.ndarray, shares: np.ndarray, caps) -> np.ndarray:
     """One share update for every row at once, in place: capped-simplex
     normalization of score row r with ``caps[r]`` as the target sum, written
-    over ``scores``, which is returned. :func:`solve` passes every user's
-    carrier shares (cap ``M_k``) and, as the last row, the activations (cap
-    ``M0``).
+    over ``scores``, which is returned and must be a float64 array.
+    :func:`solve` passes every user's carrier shares (cap ``M_k``) and, as
+    the last row, the activations (cap ``M0``).
 
-    A row with at most its cap of positive scores saturates: it becomes its
-    positive mask, as floats. A row whose scores are all zero keeps its
-    previous shares, copied bit for bit. Only the rows with more positive
-    scores than their cap go through the breakpoint scan."""
-    new = scores > 0.0  # a row at or below its cap: its positive mask
-    counts = new.sum(axis=1)
-    scan = counts > caps
-    if scan.any():
-        new = new.astype(float)
-        new[scan] = _breakpoint_scan(scores[scan], np.asarray(caps)[scan])[0]
-    np.copyto(scores, new)
-    if not counts.all():
-        held = counts == 0
-        scores[held] = shares[held]
+    The rows go through :func:`_normalize_rows`; a row whose scores are all
+    zero keeps its previous shares, copied bit for bit."""
+    _check_float(scores)
+    x = _normalize_rows(scores, np.asarray(caps))[0]
+    held = ~x.any(axis=1, keepdims=True)  # no positive score: an all-zero row
+    np.copyto(x, shares, where=held)
+    np.copyto(scores, x)
     return scores
+
+
+def _check_float(scores: np.ndarray) -> None:
+    """Refuse a score array the in-place updates cannot write shares into."""
+    if scores.dtype != np.float64:
+        raise ValueError(f"scores must be a float64 array, not {scores.dtype}")
 
 
 def update_gamma(scores: np.ndarray, gamma: np.ndarray, cap: int) -> np.ndarray:
@@ -440,7 +440,8 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     active_carriers = int(np.count_nonzero(shares[-1]))
     np.minimum(iterate, np.subtract(1.0, iterate, out=free), out=free)
     binary_distance = float(free.max())
-    del free, new_alpha, new_shares, weighted  # release both before the rounding
+    # The free buffer and the weighted utilities go before the rounding.
+    del free, new_alpha, new_shares, weighted
     final = full_size()
     binary = quantize(instance, final)
     return SgpaResult(

@@ -304,6 +304,15 @@ def _run_trial(args) -> dict:
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one (so a ``taskset`` or container CPU set counts), else every
+    CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(config: SweepConfig) -> List[ResultRow]:
     """Run the sweep and aggregate one row per (grid point, algorithm).
 
@@ -315,8 +324,8 @@ def run_sweep(config: SweepConfig) -> List[ResultRow]:
     oracle ran, every other row counts in ``above_oracle`` the trials whose
     WSU beats the oracle's by more than 1e-9. With ``jobs > 1`` the trials
     of every grid point share one process pool of at most ``jobs`` workers,
-    no more than there are trials or CPUs; where that leaves one worker,
-    the trials run in this process.
+    no more than there are trials or CPUs this process may run on; where
+    that leaves one worker, the trials run in this process.
     """
     points = config.grid_points()
     tasks = [
@@ -326,8 +335,8 @@ def run_sweep(config: SweepConfig) -> List[ResultRow]:
     ]
 
     # A fork-started pool forks every worker at its first submit, so the
-    # pool is sized to the work and the machine, not to the request alone.
-    workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
+    # pool is sized to the work and the usable CPUs, not to the request alone.
+    workers = min(config.jobs, len(tasks), _usable_cpus())
     if workers > 1:
         # One trial per task: trial cost grows along the grid, so larger
         # chunks would leave one worker running the heaviest ones alone.

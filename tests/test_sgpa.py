@@ -219,6 +219,22 @@ class TestUpdateBeta:
         np.testing.assert_array_equal(out[0], [0.4, 0.4])  # held
         assert out[1].sum() == pytest.approx(1.0)
 
+    def test_updates_refuse_scores_that_are_not_float64(self):
+        # The new shares are written over the scores: an integer array would
+        # truncate them (a held row of 0.5 shares to 0), so every in-place
+        # update refuses one before writing anything.
+        shares = np.full((2, 3), 0.5)
+        scores = np.array([[2, 1, 1], [0, 0, 0]])
+        with pytest.raises(ValueError, match="float64"):
+            update_beta(scores, shares, [1, 1])
+        with pytest.raises(ValueError, match="float64"):
+            update_gamma(scores[0], shares[0], 1)
+        with pytest.raises(ValueError, match="float64"):
+            update_alpha(np.ones((2, 3, 2), dtype=np.int64), np.full((2, 3, 2), 0.5))
+        with pytest.raises(ValueError, match="float64"):
+            update_beta(scores.astype(np.float32), shares, [1, 1])
+        assert scores.tolist() == [[2, 1, 1], [0, 0, 0]]
+
 
 class TestUpdateGamma:
     def test_slack_cap_saturates(self):

@@ -189,14 +189,25 @@ class TestRunSweep:
         assert untimed(sequential) == untimed(parallel)
 
     @pytest.mark.parametrize(
-        "jobs, trials, cpus, workers",
-        [(5000, 3, 64, 6), (5000, 3, 4, 4), (3, 3, 64, 3), (2, 1, 64, 2), (5000, 1, 1, None), (4, 3, None, None)],
+        "jobs, trials, affinity, cpus, workers",
+        [
+            (5000, 3, 64, 64, 6),
+            (5000, 3, 4, 64, 4),
+            (3, 3, 64, 64, 3),
+            (2, 1, 64, 64, 2),
+            (5000, 1, 1, 64, 1),
+            (5000, 3, None, 4, 4),
+            (4, 3, None, None, 1),
+        ],
     )
-    def test_pool_is_sized_to_the_trials_and_cpus(self, monkeypatch, jobs, trials, cpus, workers):
-        """The pool gets min(jobs, trials, CPUs) workers, and one worker means
-        no pool at all (a fork-started pool forks every worker at once, so
-        ``--jobs 5000`` must not ask for 5000). A stub executor records the
-        request and runs the trials here; the rows match a serial run."""
+    def test_pool_is_sized_to_the_trials_and_cpus(self, monkeypatch, jobs, trials, affinity, cpus, workers):
+        """The pool gets min(jobs, trials, usable CPUs) workers, and one
+        worker means no pool at all (a fork-started pool forks every worker
+        at once, so ``--jobs 5000`` must not ask for 5000). The usable CPUs
+        are the process's affinity set where the platform has one (here
+        smaller than the machine's count), else the machine's count, else 1.
+        A stub executor records the request and runs the trials here; the
+        rows match a serial run."""
         requested = []
 
         class StubExecutor:
@@ -216,8 +227,12 @@ class TestRunSweep:
         serial = run_sweep(config)
         monkeypatch.setattr(simharness, "ProcessPoolExecutor", StubExecutor)
         monkeypatch.setattr(simharness.os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            monkeypatch.delattr(simharness.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(simharness.os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
         rows = run_sweep(replace(config, jobs=jobs))
-        assert requested == ([] if workers is None else [workers])
+        assert requested == ([] if workers == 1 else [workers])
 
         def untimed(rows):
             return [{**asdict(row), "mean_solve_seconds": None} for row in rows]
