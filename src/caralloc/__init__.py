@@ -36,7 +36,6 @@ from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
 from .baselines import (
     MAX_ENUMERATIONS,
     BudgetExceededError,
-    HeuristicResult,
     brute_force_oracle,
     greedy_unconstrained,
     heuristic_run,

@@ -7,7 +7,8 @@
   nonnegative), exact on instances of at most ``MAX_ENUMERATIONS``
   combinations and used as a test oracle.
 
-Each returns a ``BinaryAllocation`` (the oracle with its WSU);
+Each returns a ``BinaryAllocation`` (the oracle with its WSU,
+:func:`heuristic_run` with its LP solution);
 :data:`caralloc.simharness.ALGORITHMS` adds the WSU and the run facts.
 """
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -33,7 +33,6 @@ __all__ = [
     "MAX_ENUMERATIONS",
     "BudgetExceededError",
     "greedy_unconstrained",
-    "HeuristicResult",
     "heuristic_run",
     "heuristic_solve",
     "brute_force_oracle",
@@ -118,17 +117,10 @@ def _carrier_selection_lp(instance: ProblemInstance) -> LinearProgram:
     return LinearProgram(c, A, b, bounds)
 
 
-@dataclass(frozen=True)
-class HeuristicResult:
-    """Heuristic output plus the solved carrier-selection LP, whose
-    ``pivots`` and ``bound_flips`` count the simplex's work."""
-
-    allocation: BinaryAllocation
-    lp: LpSolution
-
-
-def heuristic_run(instance: ProblemInstance) -> HeuristicResult:
+def heuristic_run(instance: ProblemInstance) -> Tuple[BinaryAllocation, LpSolution]:
     """Two-stage baseline: LP carrier selection, round, then per-block winners.
+    Returns the allocation and the solved carrier-selection LP, whose
+    ``pivots`` and ``bound_flips`` count the simplex's work.
 
     Stage one pretends every user holds every block (alpha = 1), reducing the
     problem to picking carrier admissions and activations; that bilinear
@@ -139,12 +131,12 @@ def heuristic_run(instance: ProblemInstance) -> HeuristicResult:
     K, M = instance.num_ues, instance.num_ccs
     sol = solve_lp(_carrier_selection_lp(instance))
     beta, gamma = sol.x[: K * M].reshape(K, M), sol.x[K * M :]
-    return HeuristicResult(round_allocation(instance, beta, gamma), sol)
+    return round_allocation(instance, beta, gamma), sol
 
 
 def heuristic_solve(instance: ProblemInstance) -> BinaryAllocation:
     """The allocation of :func:`heuristic_run`."""
-    return heuristic_run(instance).allocation
+    return heuristic_run(instance)[0]
 
 
 def oracle_enumeration_count(num_ccs: int, caps, system_cap: int) -> int:

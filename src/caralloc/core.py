@@ -112,6 +112,14 @@ def check_document(doc, spec, what: str) -> dict:
     return doc
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int when it is a Python or numpy integer; ValueError
+    naming ``name`` when it is anything else, a bool or a float included."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -285,23 +293,12 @@ class BinaryAllocation:
         _check_shapes(*arrays)
         self.alpha, self.beta, self.gamma = arrays
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha.tolist(),
-            "beta": self.beta.tolist(),
-            "gamma": self.gamma.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BinaryAllocation":
-        return cls(alpha=doc["alpha"], beta=doc["beta"], gamma=doc["gamma"])
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "BinaryAllocation":
-        return cls.from_dict(json.loads(text))
+        """JSON object {"alpha", "beta", "gamma"} of nested 0/1 lists; the
+        constructor takes ``**json.loads`` of it."""
+        return json.dumps(
+            {"alpha": self.alpha.tolist(), "beta": self.beta.tolist(), "gamma": self.gamma.tolist()}
+        )
 
 
 @dataclass(frozen=True)
@@ -405,15 +402,23 @@ def check_feasibility(instance: ProblemInstance, alloc: BinaryAllocation) -> Fea
     )
 
 
-def top_cap_indicator(values: np.ndarray, cap: int) -> np.ndarray:
-    """0/1 vector with ones on the ``cap`` largest entries.
+def top_cap_indicator(values: np.ndarray, cap) -> np.ndarray:
+    """0/1 array of ``values``' shape with ones on the ``cap`` largest
+    entries along the last axis (all of them when ``cap`` is at least its
+    length).
 
-    Ties are broken toward the lowest index (stable sort), so the result is
-    invariant under any strictly increasing transform of ``values``.
+    ``cap`` is one nonnegative integer for every row or an integer array of
+    one cap per row (``values.shape[:-1]``); ValueError otherwise. Ties are
+    broken toward the lowest index (stable sort), so the result is invariant
+    under any strictly increasing transform of ``values``.
     """
     values = np.asarray(values, dtype=float)
-    out = np.zeros(values.size, dtype=np.int8)
-    out[np.argsort(-values, kind="stable")[: int(cap)]] = 1
+    caps = np.asarray(cap)
+    if caps.dtype.kind not in "iu" or (caps < 0).any():
+        raise ValueError(f"cap must be a nonnegative integer or integer array, not {cap!r}")
+    order = np.argsort(-values, axis=-1, kind="stable")
+    out = np.zeros(values.shape, dtype=np.int8)
+    np.put_along_axis(out, order, np.arange(values.shape[-1]) < caps[..., None], axis=-1)
     return out
 
 
@@ -439,18 +444,16 @@ def round_allocation(instance: ProblemInstance, beta: np.ndarray, gamma: np.ndar
     """Round carrier and admission shares, then hand out the blocks.
 
     Carriers first (top system-cap activation), then each user's carrier set
-    (its top entries among the carriers just activated, ties to the lower
-    index), then :func:`block_winners`, the best blocks for those
-    memberships (WSU splits per block once they are fixed). Every stage only
-    picks from what the previous stage kept, so the output satisfies all
-    hard constraints.
+    (its top entries among the carriers just activated), both by
+    :func:`top_cap_indicator` (ties to the lower index), then
+    :func:`block_winners`, the best blocks for those memberships (WSU splits
+    per block once they are fixed). Every stage only picks from what the
+    previous stage kept, so the output satisfies all hard constraints.
     """
     gamma_bin = top_cap_indicator(gamma, instance.system_cc_cap)
     active = gamma_bin == 1
-    order = np.argsort(-np.where(active, beta, -np.inf), axis=1, kind="stable")
-    taken = np.minimum(instance.ue_cc_caps, np.count_nonzero(active))[:, None]
-    beta_bin = np.zeros((instance.num_ues, instance.num_ccs), dtype=np.int8)
-    np.put_along_axis(beta_bin, order, np.arange(instance.num_ccs) < taken, axis=1)
+    taken = np.minimum(instance.ue_cc_caps, np.count_nonzero(active))
+    beta_bin = top_cap_indicator(np.where(active, beta, -np.inf), taken)
     return BinaryAllocation(block_winners(instance, beta_bin, gamma_bin), beta_bin, gamma_bin)
 
 

@@ -51,6 +51,7 @@ from .core import (
     BinaryAllocation,
     ProblemInstance,
     RelaxedAllocation,
+    _integer,
     check_document,
     evaluate_relaxed_wsu,
     evaluate_wsu,
@@ -91,9 +92,9 @@ class SgpaConfig:
     record_trace: bool = False
 
     def __post_init__(self):
-        if int(self.max_iterations) < 1:
+        self.max_iterations = _integer(self.max_iterations, "max_iterations")
+        if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        self.max_iterations = int(self.max_iterations)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SgpaConfig":
@@ -129,7 +130,7 @@ def capped_simplex_normalize(v, cap: int) -> NormalizationSolution:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("scores must be a nonempty 1-D array")
-    cap = int(cap)
+    cap = _integer(cap, "cap")
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if cap > v.size:
@@ -150,10 +151,10 @@ def _normalize_rows(v: np.ndarray, caps: np.ndarray) -> tuple:
     row r onto sum ``caps[r]``: the arrays ``x`` (rows, P) and ``kappa``
     (rows,), as :func:`capped_simplex_normalize` defines them per row.
 
-    Unchecked: 1 <= caps <= P. A row with at most its cap of positive
-    scores saturates: ``x`` is its positive mask and kappa its smallest
-    positive score (a row with none comes out all zero, with kappa inf).
-    Only the other rows go through :func:`_breakpoint_scan`.
+    Unchecked: caps >= 1; a cap above P acts as P. A row with at most its
+    cap of positive scores saturates: ``x`` is its positive mask and kappa
+    its smallest positive score (a row with none comes out all zero, with
+    kappa inf). Only the other rows go through :func:`_breakpoint_scan`.
     """
     positive = v > 0.0
     x = positive.astype(float)
@@ -346,11 +347,10 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     sweeps run on those alone. The cut is exact (see the module notes): a
     carrier at zero activation stays there with every share under it 0, so
     each later sweep would only recompute those zeros, and no live value
-    depends on it. The caps are clipped to the live count; where that
-    changes a cap, at most cap scores are positive, so the normalization
-    takes the same branch as at full size (every positive score
-    saturates). The iterate is scattered back to full size at the end, and
-    for each trace record.
+    depends on it. The caps stay as they are: a row with no more positive
+    scores than its cap saturates, so a cap above the live count acts as
+    the live count. The iterate is scattered back to full size at the end,
+    and for each trace record.
     """
     cfg = config if config is not None else SgpaConfig()
     K, num_ccs, N = instance.num_ues, instance.num_ccs, instance.num_rbs_per_cc
@@ -432,7 +432,6 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
             iterate, alpha, shares = cut
             del cut
             free, new_alpha, new_shares = _iterate_buffer(K, live.size, N)
-            caps = np.minimum(caps, live.size)
 
     # Both facts read the same on the live carriers as at full size: a cut
     # carrier's activation and shares are all exactly 0. The free buffer
@@ -479,8 +478,7 @@ def _sum_identity_residual(live_cols, positives, new_alpha, new_shares, caps):
     and the users whose carrier-share row was held (all scores zero).
     ``live_cols`` marks the (carrier, block) columns with a positive block
     score, the ones :func:`update_alpha` normalized, and ``positives``
-    counts each share row's positive scores. Caps clipped to the live count
-    give the same targets min(cap, positives)."""
+    counts each share row's positive scores."""
     residual = 0.0
     if live_cols.any():
         residual = float(np.abs(new_alpha.sum(axis=0)[live_cols] - 1.0).max())

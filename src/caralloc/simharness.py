@@ -73,9 +73,9 @@ def _run_greedy(instance: ProblemInstance, sgpa: SgpaConfig) -> Run:
 
 
 def _run_heuristic(instance: ProblemInstance, sgpa: SgpaConfig) -> Run:
-    result = heuristic_run(instance)
-    facts = {"lp_pivots": result.lp.pivots, "lp_bound_flips": result.lp.bound_flips}
-    return Run(result.allocation, evaluate_wsu(instance, result.allocation), facts)
+    allocation, lp = heuristic_run(instance)
+    facts = {"lp_pivots": lp.pivots, "lp_bound_flips": lp.bound_flips}
+    return Run(allocation, evaluate_wsu(instance, allocation), facts)
 
 
 def _run_oracle(instance: ProblemInstance, sgpa: SgpaConfig) -> Run:

@@ -379,7 +379,7 @@ class TestSolve:
             capsys, "solve", "--instance", str(path), "--allocation-out", str(alloc_path)
         )
         assert code == 0
-        alloc = BinaryAllocation.from_json(alloc_path.read_text())
+        alloc = BinaryAllocation(**json.loads(alloc_path.read_text()))
         assert alloc.alpha.shape == (2, 3, 2)
 
 

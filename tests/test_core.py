@@ -177,6 +177,39 @@ class TestTopCapIndicator:
         out = top_cap_indicator(np.array([0.5, 0.5, 0.5]), 1)
         np.testing.assert_array_equal(out, [1, 0, 0])
 
+    @pytest.mark.parametrize("cap", [-1, -3, np.int64(-1), np.array([1, -1]), True, 2.0, 2.9])
+    def test_rejects_caps_that_are_not_nonnegative_integers(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            top_cap_indicator(np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]]), cap)
+
+    def test_rows_match_a_per_row_reference(self):
+        # Each row alone: its first `cap` entries in descending order, ties
+        # to the lower index.
+        rng = np.random.default_rng(31)
+        cases = {"scalar cap": 0, "per-row caps": 0, "cap 0": 0, "cap >= width": 0, "inf": 0}
+        for _ in range(400):
+            rows, P = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+            values = rng.integers(0, 4, (rows, P)) * 0.25  # ties are common
+            values[rng.uniform(size=(rows, P)) < 0.15] = np.inf
+            values[rng.uniform(size=(rows, P)) < 0.15] = -np.inf
+            caps = rng.integers(0, P + 3, rows)
+            if rng.uniform() < 0.5:
+                cap = caps = caps[0]
+                cases["scalar cap"] += 1
+            else:
+                cap = caps
+                cases["per-row caps"] += 1
+            out = top_cap_indicator(values, cap)
+            assert out.shape == values.shape and out.dtype == np.int8
+            for row, row_cap, got in zip(values, np.broadcast_to(caps, rows), out):
+                expected = np.zeros(P, dtype=np.int8)
+                expected[np.lexsort((np.arange(P), -row))[:row_cap]] = 1
+                np.testing.assert_array_equal(got, expected)
+                cases["cap 0"] += row_cap == 0
+                cases["cap >= width"] += row_cap >= P
+                cases["inf"] += bool(np.isinf(row).any())
+        assert min(cases.values()) >= 50, cases
+
 
 
 class TestRoundAllocation:
@@ -329,7 +362,7 @@ class TestBinaryAllocationSerialization:
         alpha = np.zeros((2, 2, 1))
         alpha[1, 0, 0] = 1
         alloc = BinaryAllocation(alpha, np.array([[0, 0], [1, 0]]), np.array([1, 0]))
-        back = BinaryAllocation.from_json(alloc.to_json())
+        back = BinaryAllocation(**json.loads(alloc.to_json()))
         np.testing.assert_array_equal(back.alpha, alloc.alpha)
         np.testing.assert_array_equal(back.beta, alloc.beta)
         np.testing.assert_array_equal(back.gamma, alloc.gamma)

@@ -185,7 +185,8 @@ def test_cut_outputs_match_golden(case):
 
 def test_cut_cases_end_with_one_live_carrier():
     """Some cut case ends with a single live carrier under a user cap above
-    1, so the solver's caps clipped to the live count are pinned too."""
+    1, so the digests also pin a live count below the user cap, where the
+    solver's unclipped caps saturate every positive score."""
     config = SgpaConfig(max_iterations=max(ITERATE_SWEEPS))
     assert any(
         solve(case_instance(case), config).active_carriers == 1 and case[3] > 1

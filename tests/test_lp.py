@@ -197,6 +197,25 @@ class TestAgainstHighs:
             assert sol.status is LpStatus.OPTIMAL
             assert sol.objective_value == pytest.approx(highs_optimum(lp), abs=1e-7)
 
+    def test_long_run_refreshes_its_reduced_costs(self, monkeypatch):
+        # The reduced costs are recomputed from scratch every
+        # _RC_REFRESH_PERIOD steps; the heuristic LPs of the other tests
+        # stop well before the first refresh, this one runs past it.
+        refreshes = []
+        reduced_costs = lp_module._Tableau.reduced_costs
+
+        def counted(tab, c_all):
+            refreshes.append(tab.pivots + tab.bound_flips)
+            return reduced_costs(tab, c_all)
+
+        monkeypatch.setattr(lp_module._Tableau, "reduced_costs", counted)
+        params = GenParams(K=20, M=40, N=5, ue_cc_cap=2, system_cc_cap_limit=10, seed=0)
+        lp = _carrier_selection_lp(sample_instance(params))
+        sol = solve_lp(lp)
+        assert sol.pivots + sol.bound_flips > lp_module._RC_REFRESH_PERIOD
+        assert refreshes[0] == 0 and lp_module._RC_REFRESH_PERIOD in refreshes
+        assert sol.objective_value == pytest.approx(highs_optimum(lp), abs=1e-7)
+
 
 class TestCounts:
     def test_flip_then_degenerate_pivot(self):

@@ -58,6 +58,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             capped_simplex_normalize([1.0], 0)
 
+    @pytest.mark.parametrize("cap", [2.9, 2.0, True, np.float64(1.0)])
+    def test_cap_that_is_not_an_integer_rejected(self, cap):
+        # 2.9 used to run as cap 2.
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            capped_simplex_normalize([3.0, 2.0, 1.0], cap)
+
+    def test_numpy_integer_cap_accepted(self):
+        sol = capped_simplex_normalize([3.0, 2.0, 1.0], np.int64(2))
+        assert sol.x.tobytes() == capped_simplex_normalize([3.0, 2.0, 1.0], 2).x.tobytes()
+
 
 class TestAgainstBisectionOracle:
     def test_randomized_cases(self):

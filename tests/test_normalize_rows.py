@@ -106,6 +106,21 @@ class TestKernelAgainstReference:
             assert x[r].tobytes() == ref.x.tobytes()
             assert float_bytes(kappa[r]) == float_bytes(ref.kappa)
 
+    def test_cap_above_the_width_acts_as_the_width(self):
+        # The solver keeps its caps when it cuts to fewer live carriers than
+        # a cap: such a row has at most its cap of positive scores and
+        # saturates, as it does at a cap equal to the width.
+        rng = np.random.default_rng(17)
+        for kind, v, caps in score_sets(count=300, seed=19):
+            width = v.shape[1]
+            above = caps + rng.integers(width, 2 * width + 1, caps.size)
+            x_above, kappa_above = _normalize_rows(v, above)
+            x_width, kappa_width = _normalize_rows(v, np.full(caps.size, width))
+            assert x_above.tobytes() == x_width.tobytes() == (v > 0).astype(float).tobytes()
+            assert kappa_above.tobytes() == kappa_width.tobytes()
+            live = v.max(axis=1) > 0.0
+            assert (kappa_above[live] == v[live].min(axis=1, where=v[live] > 0, initial=np.inf)).all()
+
     def test_negative_zero_maps_to_zero(self):
         # -0.0 passes the nonnegativity check; its share is +0.0, as in the
         # scalar scan, not the -0.0 that -0.0 / kappa gives.

@@ -47,6 +47,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="initialization"):
             SgpaConfig.from_dict({"initialization": "uniform"})
 
+    @pytest.mark.parametrize("value", [2.7, 3.0, True, "3"])
+    def test_rejects_sweep_budgets_that_are_not_integers(self, value):
+        # Neither truncated (2.7 used to run 2 sweeps) nor read as 1 (True).
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            SgpaConfig(max_iterations=value)
+
+    def test_accepts_numpy_integers(self):
+        cfg = SgpaConfig(max_iterations=np.int64(3))
+        assert cfg.max_iterations == 3 and type(cfg.max_iterations) is int
+
 
 class TestSweepScores:
     def test_hand_example(self):
