@@ -25,15 +25,9 @@ phi = np.array(
         [[0.1, 0.2], [0.7, 0.9]],  # user 1: strong on carrier 1
     ]
 )
-instance = ProblemInstance(
-    num_ues=2,
-    num_ccs=2,
-    num_rbs_per_cc=2,
-    weights=[1.0, 1.0],
-    utilities=phi,
-    ue_cc_caps=[1, 1],
-    system_cc_cap=2,
-)
+# K, M and N are read off the utilities' shape (2, 2, 2).
+instance = ProblemInstance(weights=[1.0, 1.0], utilities=phi, ue_cc_caps=[1, 1], system_cc_cap=2)
+print("K, M, N:", instance.num_ues, instance.num_ccs, instance.num_rbs_per_cc)
 print("instance:", instance.to_json())
 
 # The natural assignment: each user takes its strong carrier.

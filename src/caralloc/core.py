@@ -137,38 +137,35 @@ _INSTANCE_FIELDS = {
 class ProblemInstance:
     """Immutable description of one allocation problem.
 
-    K users, each with a finite positive weight ``weights[k]`` and a cap
-    ``ue_cc_caps[k]`` on how many carriers it may use; M carriers of N
-    blocks each, with at most ``system_cc_cap`` carriers active in total;
-    and a nonnegative utility ``utilities[k, m, n]`` earned when user k is
-    given block (m, n).
+    ``utilities[k, m, n]`` is the nonnegative utility earned when user k is
+    given block n of carrier m; its shape (K, M, N) is the problem's, read
+    back as ``num_ues``, ``num_ccs`` and ``num_rbs_per_cc``. Each user k
+    has a finite positive weight ``weights[k]`` and a cap ``ue_cc_caps[k]``
+    on how many carriers it may use, and at most ``system_cc_cap`` carriers
+    are active in total. Every cap is an integer (a Python or numpy one, or
+    an integer-kind array); ValueError naming the field otherwise.
 
     Instances are deep-copied on construction and their arrays are marked
     read-only, so one instance can be shared freely across workers.
     """
 
-    num_ues: int
-    num_ccs: int
-    num_rbs_per_cc: int
     weights: np.ndarray
     utilities: np.ndarray
     ue_cc_caps: np.ndarray
     system_cc_cap: int
 
     def __post_init__(self):
-        K = int(self.num_ues)
-        M = int(self.num_ccs)
-        N = int(self.num_rbs_per_cc)
-        if K < 1 or M < 1 or N < 1:
-            raise ValueError("dimensions must be positive integers")
         w = np.asarray(self.weights, dtype=float)
         phi = np.asarray(self.utilities, dtype=float)
-        caps = np.asarray(self.ue_cc_caps, dtype=int)
-        m0 = int(self.system_cc_cap)
+        caps = np.asarray(self.ue_cc_caps)
+        m0 = _integer(self.system_cc_cap, "system_cc_cap")
+        if phi.ndim != 3 or 0 in phi.shape:
+            raise ValueError(f"utilities must be a 3-D array with no empty axis, got shape {phi.shape}")
+        K, M, _ = phi.shape
         if w.shape != (K,):
             raise ValueError(f"weights must have shape ({K},), got {w.shape}")
-        if phi.shape != (K, M, N):
-            raise ValueError(f"utilities must have shape ({K}, {M}, {N}), got {phi.shape}")
+        if caps.dtype.kind not in "iu":
+            raise ValueError(f"ue_cc_caps must be integers, not {self.ue_cc_caps!r}")
         if caps.shape != (K,):
             raise ValueError(f"ue_cc_caps must have shape ({K},), got {caps.shape}")
         if not (np.all(np.isfinite(w)) and np.all(w > 0)):
@@ -184,13 +181,26 @@ class ProblemInstance:
         with np.errstate(over="ignore"):
             if not np.isfinite(np.einsum("k,kmn->", w, phi)):
                 raise ValueError("weights times utilities overflow: their weighted sum must be finite")
-        object.__setattr__(self, "num_ues", K)
-        object.__setattr__(self, "num_ccs", M)
-        object.__setattr__(self, "num_rbs_per_cc", N)
         object.__setattr__(self, "weights", _frozen_array(w, float))
         object.__setattr__(self, "utilities", _frozen_array(phi, float))
+        # Checked integers in [1, M]: the cast to one integer dtype is exact.
         object.__setattr__(self, "ue_cc_caps", _frozen_array(caps, int))
         object.__setattr__(self, "system_cc_cap", m0)
+
+    @property
+    def num_ues(self) -> int:
+        """K, the number of users: ``utilities.shape[0]``."""
+        return self.utilities.shape[0]
+
+    @property
+    def num_ccs(self) -> int:
+        """M, the number of carriers: ``utilities.shape[1]``."""
+        return self.utilities.shape[1]
+
+    @property
+    def num_rbs_per_cc(self) -> int:
+        """N, the number of blocks per carrier: ``utilities.shape[2]``."""
+        return self.utilities.shape[2]
 
     @property
     def weighted_utilities(self) -> np.ndarray:
@@ -213,21 +223,20 @@ class ProblemInstance:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ProblemInstance":
+        """The instance of a parsed JSON document (see :meth:`to_dict`);
+        ValueError naming the culprit when a field has the wrong JSON type
+        or ``K``, ``M`` and ``N`` disagree with the shape of ``phi``."""
         doc = check_document(doc, _INSTANCE_FIELDS, "instance")
         # One C-level pass over the leaves; a typed walk in Python costs 5x the parse.
-        leaf_types = set(map(type, np.array(doc["phi"], dtype=object).ravel()))
+        leaves = np.array(doc["phi"], dtype=object)
+        leaf_types = set(map(type, leaves.ravel()))
         if not leaf_types <= {int, float}:
             found = sorted(t.__name__ for t in leaf_types - {int, float})
             raise ValueError(f"instance field 'phi' must hold only JSON numbers, not {found}")
-        return cls(
-            num_ues=doc["K"],
-            num_ccs=doc["M"],
-            num_rbs_per_cc=doc["N"],
-            weights=doc["weights"],
-            utilities=doc["phi"],
-            ue_cc_caps=doc["Mk"],
-            system_cc_cap=doc["M0"],
-        )
+        dims = (doc["K"], doc["M"], doc["N"])
+        if leaves.shape != dims:
+            raise ValueError(f"instance fields K, M, N give shape {dims}, but 'phi' has shape {leaves.shape}")
+        return cls(weights=doc["weights"], utilities=doc["phi"], ue_cc_caps=doc["Mk"], system_cc_cap=doc["M0"])
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

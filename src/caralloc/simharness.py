@@ -14,7 +14,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +27,7 @@ from .baselines import (
     greedy_unconstrained,
     heuristic_run,
 )
-from .core import BinaryAllocation, ProblemInstance, check_document, evaluate_wsu
+from .core import BinaryAllocation, ProblemInstance, _integer, check_document, evaluate_wsu
 from .sgpa import IterationRecord, SgpaConfig, _snap, capped_simplex_normalize, solve
 
 __all__ = [
@@ -102,9 +102,6 @@ WEIGHT_MODES = ("equal", "uniform_simplex")
 #: Largest SNR magnitude in dB: a linear SNR of at most 1e100 keeps utilities finite.
 MAX_SNR_DB = 1000.0
 
-CSV_HEADER = ["algorithm", "M", "Mk", "M0", "trials",
-              "mean_wsu", "stderr_wsu", "mean_solve_seconds", "above_oracle"]
-
 
 def _rng(seed: int, stream_key: Tuple[int, ...] = ()) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=stream_key)))
@@ -119,7 +116,9 @@ class GenParams:
     ``min(M, system_cc_cap_limit)``, so the limit may exceed the carrier
     count. SNRs are drawn uniformly in dB, channel gains are unit-mean
     exponential, and each block utility is the normalized link capacity of
-    its channel.
+    its channel. Every count (K, M, N, both caps, the seed and each
+    ``stream_key`` item) is a Python or numpy integer; ValueError naming the
+    field otherwise.
     """
 
     K: int
@@ -133,6 +132,10 @@ class GenParams:
     stream_key: Tuple[int, ...] = ()
 
     def __post_init__(self):
+        for name in ("K", "M", "N", "ue_cc_cap", "system_cc_cap_limit", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        key = tuple(_integer(item, f"stream_key[{i}]") for i, item in enumerate(self.stream_key))
+        object.__setattr__(self, "stream_key", key)
         if self.K < 2 or self.M < 2 or self.N < 2:
             raise ValueError("generated instances need K >= 2, M >= 2, N >= 2")
         if not 1 <= self.ue_cc_cap <= self.M:
@@ -190,15 +193,7 @@ def sample_instance(params: GenParams) -> ProblemInstance:
         draws = rng.exponential(1.0, size=K)
         weights = draws / draws.sum()
 
-    return ProblemInstance(
-        num_ues=K,
-        num_ccs=M,
-        num_rbs_per_cc=N,
-        weights=weights,
-        utilities=phi,
-        ue_cc_caps=np.full(K, params.ue_cc_cap),
-        system_cc_cap=params.effective_system_cap,
-    )
+    return ProblemInstance(weights, phi, np.full(K, params.ue_cc_cap), params.effective_system_cap)
 
 
 @dataclass(frozen=True)
@@ -209,7 +204,8 @@ class SweepConfig:
     defaulting to the template's single value), walked M-major, and every
     point is checked when the config is built. Trial t of grid point g draws
     its instance from stream (base_seed, g, t); all algorithms see the same
-    instance.
+    instance. ``trials``, ``base_seed``, ``jobs`` and every grid item are
+    Python or numpy integers; ValueError naming the field otherwise.
     """
 
     algorithms: Tuple[str, ...]
@@ -222,6 +218,13 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        for name in ("trials", "base_seed", "jobs"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("m_grid", "mk_grid"):
+            grid = getattr(self, name)
+            if grid is not None:
+                grid = tuple(_integer(item, f"{name}[{i}]") for i, item in enumerate(grid))
+                object.__setattr__(self, name, grid)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
@@ -284,6 +287,10 @@ class ResultRow:
     above_oracle: Optional[int] = None
     skipped: bool = False
     skip_reason: str = ""
+
+
+#: The sweep CSV's columns: every :class:`ResultRow` field but the skip marks.
+CSV_HEADER = [f.name for f in fields(ResultRow) if f.name not in ("skipped", "skip_reason")]
 
 
 def _run_trial(args) -> dict:
@@ -426,6 +433,8 @@ def fig1_experiment(M: int, M_k: int, iterations: int, seed: int) -> np.ndarray:
     none of ``FIG1_MAX_DRAWS`` draws does (the chance of a passing draw falls
     exponentially as M grows at M_k = M / 2).
     """
+    M, M_k = _integer(M, "M"), _integer(M_k, "M_k")
+    iterations, seed = _integer(iterations, "iterations"), _integer(seed, "seed")
     if not M >= M_k >= 1:
         raise ValueError("need M >= M_k >= 1")
     if iterations < 0:

@@ -186,21 +186,6 @@ def three_block_carrier_selection_lp(instance):
     return LinearProgram(c, A, b, bounds)
 
 
-def make_instance(weights, phi, caps, m0):
-    """An instance whose dimensions are read off the utilities ``phi``."""
-    phi = np.asarray(phi, dtype=float)
-    K, M, N = phi.shape
-    return ProblemInstance(
-        num_ues=K,
-        num_ccs=M,
-        num_rbs_per_cc=N,
-        weights=weights,
-        utilities=phi,
-        ue_cc_caps=caps,
-        system_cc_cap=m0,
-    )
-
-
 def binary_distance(relaxed):
     """Largest distance of any relaxed share from {0, 1}."""
     return max(
@@ -213,13 +198,10 @@ def permuted_instance(instance, ue_perm, cc_perm):
     """``instance`` with its users reordered by ``ue_perm`` and its carriers
     by ``cc_perm``."""
     return ProblemInstance(
-        num_ues=instance.num_ues,
-        num_ccs=instance.num_ccs,
-        num_rbs_per_cc=instance.num_rbs_per_cc,
-        weights=instance.weights[ue_perm],
-        utilities=instance.utilities[np.ix_(ue_perm, cc_perm)],
-        ue_cc_caps=instance.ue_cc_caps[ue_perm],
-        system_cc_cap=instance.system_cc_cap,
+        instance.weights[ue_perm],
+        instance.utilities[np.ix_(ue_perm, cc_perm)],
+        instance.ue_cc_caps[ue_perm],
+        instance.system_cc_cap,
     )
 
 

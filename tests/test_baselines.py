@@ -13,28 +13,28 @@ from caralloc.baselines import (
     heuristic_solve,
     oracle_enumeration_count,
 )
-from caralloc.core import check_feasibility, evaluate_wsu
+from caralloc.core import ProblemInstance, check_feasibility, evaluate_wsu
 from caralloc.sgpa import SgpaConfig, solve
 from caralloc.simharness import ALGORITHMS, GenParams, sample_instance
 
-from helpers import make_instance, milp_optimum, reference_oracle
+from helpers import milp_optimum, reference_oracle
 from test_acceptance import criterion_9_draws
 
 
 class TestGreedy:
     def test_higher_utility_wins(self):
-        inst = make_instance([1.0, 1.0], [[[5.0]], [[3.0]]], [1, 1], 1)
+        inst = ProblemInstance([1.0, 1.0], [[[5.0]], [[3.0]]], [1, 1], 1)
         result = greedy_unconstrained(inst)
         assert result.alpha[0, 0, 0] == 1
         assert result.alpha[1, 0, 0] == 0
 
     def test_weight_can_flip_the_winner(self):
-        inst = make_instance([1.0, 10.0], [[[5.0]], [[1.0]]], [1, 1], 1)
+        inst = ProblemInstance([1.0, 10.0], [[[5.0]], [[1.0]]], [1, 1], 1)
         result = greedy_unconstrained(inst)
         assert result.alpha[1, 0, 0] == 1  # 10*1 > 1*5
 
     def test_tie_goes_to_lowest_index(self):
-        inst = make_instance([1.0, 1.0], [[[2.0]], [[2.0]]], [1, 1], 1)
+        inst = ProblemInstance([1.0, 1.0], [[[2.0]], [[2.0]]], [1, 1], 1)
         result = greedy_unconstrained(inst)
         assert result.alpha[0, 0, 0] == 1
 
@@ -50,7 +50,7 @@ class TestGreedy:
 
     def test_flags_cap_violations(self):
         rng = np.random.default_rng(0)
-        inst = make_instance(
+        inst = ProblemInstance(
             np.ones(2), rng.uniform(0.5, 1.0, (2, 4, 2)), [1, 1], 4
         )
         report = check_feasibility(inst, greedy_unconstrained(inst))
@@ -71,7 +71,7 @@ class TestHeuristic:
         # Per-carrier gains [5, 1] with a single-carrier cap: the LP puts the
         # whole budget on carrier 0 and every one of its blocks goes to the UE.
         phi = np.array([[[2.5, 2.5], [0.5, 0.5]]])
-        inst = make_instance([1.0], phi, [1], 2)
+        inst = ProblemInstance([1.0], phi, [1], 2)
         out = heuristic_solve(inst)
         np.testing.assert_array_equal(out.beta, [[1, 0]])
         np.testing.assert_array_equal(out.alpha[0, 0], [1, 1])
@@ -107,7 +107,7 @@ class TestHeuristic:
 class TestOracle:
     def test_two_carrier_hand_case(self):
         # Single UE limited to one carrier: takes the better one.
-        inst = make_instance([1.5], [[[3.0], [7.0]]], [1], 2)
+        inst = ProblemInstance([1.5], [[[3.0], [7.0]]], [1], 2)
         alloc, wsu = brute_force_oracle(inst)
         assert wsu == pytest.approx(1.5 * 7.0)
         np.testing.assert_array_equal(alloc.beta, [[0, 1]])
@@ -138,11 +138,11 @@ class TestOracle:
             base = GenParams(K=2, M=4, N=2, ue_cc_cap=1, system_cc_cap_limit=2, seed=seed)
             inst = sample_instance(base)
             _, wsu = brute_force_oracle(inst)
-            looser_ue = make_instance(
+            looser_ue = ProblemInstance(
                 inst.weights, inst.utilities, [2, 2], inst.system_cc_cap
             )
             _, wsu_ue = brute_force_oracle(looser_ue)
-            looser_sys = make_instance(inst.weights, inst.utilities, [1, 1], 3)
+            looser_sys = ProblemInstance(inst.weights, inst.utilities, [1, 1], 3)
             _, wsu_sys = brute_force_oracle(looser_sys)
             assert wsu_ue >= wsu - 1e-12
             assert wsu_sys >= wsu - 1e-12
@@ -222,7 +222,7 @@ def test_allocation_invariant_to_utility_scale(algorithm, scale):
         inst = sample_instance(
             GenParams(K=4, M=6, N=4, ue_cc_cap=2, system_cc_cap_limit=2, seed=0, stream_key=(0, trial))
         )
-        scaled = make_instance(inst.weights, inst.utilities * scale, inst.ue_cc_caps, inst.system_cc_cap)
+        scaled = ProblemInstance(inst.weights, inst.utilities * scale, inst.ue_cc_caps, inst.system_cc_cap)
         base, out = run(inst), run(scaled)
         for name in ("alpha", "beta", "gamma"):
             np.testing.assert_array_equal(getattr(out, name), getattr(base, name))

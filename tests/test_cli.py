@@ -17,8 +17,6 @@ from caralloc.lp import solve_lp
 from caralloc.sgpa import SgpaConfig, solve
 from caralloc.simharness import ALGORITHMS, WEIGHT_MODES, GenParams, SweepConfig, fig1_experiment
 
-from helpers import make_instance
-
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -247,6 +245,16 @@ class TestSolve:
             assert code == 2
             assert f"{name!r} must be a JSON integer" in err
 
+    def test_dimension_fields_that_disagree_with_phi_exit_2(self, tmp_path, capsys):
+        doc = json.loads(write_instance(tmp_path, capsys).read_text())
+        for name, value in (("K", 3), ("M", 2), ("N", 1)):
+            dims = {"K": 2, "M": 3, "N": 2, name: value}
+            path = tmp_path / "broken.json"
+            path.write_text(json.dumps({**doc, name: value}))
+            code, _, err = run(capsys, "solve", "--instance", str(path))
+            assert code == 2
+            assert f"give shape {(dims['K'], dims['M'], dims['N'])}, but 'phi' has shape (2, 3, 2)" in err
+
     def test_non_integer_cap_or_non_number_weight_items_exit_2(self, tmp_path, capsys):
         doc = json.loads(write_instance(tmp_path, capsys).read_text())
         assert doc["K"] == 2
@@ -343,7 +351,7 @@ class TestSolve:
         rng = np.random.default_rng(3)
         phi = rng.uniform(0.1, 1.0, (4, 3, 2))
         phi[2:] = 0.0
-        instance = make_instance(np.ones(4), phi, [1, 1, 1, 1], 2)
+        instance = ProblemInstance(np.ones(4), phi, [1, 1, 1, 1], 2)
         path = tmp_path / "inst.json"
         path.write_text(instance.to_json())
         trace = tmp_path / "trace.csv"

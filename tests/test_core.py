@@ -18,8 +18,6 @@ from caralloc.core import (
     top_cap_indicator,
 )
 
-from helpers import make_instance
-
 
 def full_binary(instance):
     K, M, N = instance.num_ues, instance.num_ccs, instance.num_rbs_per_cc
@@ -34,39 +32,68 @@ def empty_binary(instance):
 class TestProblemInstance:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            make_instance([1.0, 1.0], [[[1.0]]], [1], 1)  # weights longer than K
+            ProblemInstance([1.0, 1.0], [[[1.0]]], [1], 1)  # weights longer than K
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
-            make_instance([0.0], [[[1.0]]], [1], 1)
+            ProblemInstance([0.0], [[[1.0]]], [1], 1)
 
     @pytest.mark.parametrize("weight", [np.inf, np.nan])
     def test_rejects_non_finite_weight(self, weight):
         with pytest.raises(ValueError, match="weights must be finite"):
-            make_instance([weight, 1.0], np.ones((2, 2, 2)), [1, 1], 2)
+            ProblemInstance([weight, 1.0], np.ones((2, 2, 2)), [1, 1], 2)
 
     def test_rejects_negative_utility(self):
         with pytest.raises(ValueError):
-            make_instance([1.0], [[[-0.1]]], [1], 1)
+            ProblemInstance([1.0], [[[-0.1]]], [1], 1)
 
     def test_rejects_weighted_utilities_that_overflow(self):
         # Each factor is finite; their product is not.
         with pytest.raises(ValueError, match="weights times utilities"):
-            make_instance([1e300, 1.0], [[[1e300]], [[1.0]]], [1, 1], 1)
+            ProblemInstance([1e300, 1.0], [[[1e300]], [[1.0]]], [1, 1], 1)
         with np.errstate(over="raise"):
-            make_instance([1e300, 1.0], [[[1.0]], [[1.0]]], [1, 1], 1)
+            ProblemInstance([1e300, 1.0], [[[1.0]], [[1.0]]], [1, 1], 1)
 
     def test_rejects_cap_out_of_range(self):
         with pytest.raises(ValueError):
-            make_instance([1.0], [[[1.0], [1.0]]], [3], 1)  # cap 3 > M=2
+            ProblemInstance([1.0], [[[1.0], [1.0]]], [3], 1)  # cap 3 > M=2
+
+    def test_dimensions_are_the_shape_of_the_utilities(self):
+        inst = ProblemInstance(np.ones(2), np.ones((2, 3, 4)), [1, 3], 2)
+        assert (inst.num_ues, inst.num_ccs, inst.num_rbs_per_cc) == (2, 3, 4)
+        with pytest.raises(TypeError):
+            ProblemInstance(num_ues=2, weights=np.ones(2), utilities=np.ones((2, 3, 4)),
+                            ue_cc_caps=[1, 3], system_cc_cap=2)
+
+    @pytest.mark.parametrize("phi", [np.ones((2, 3)), np.ones((2, 3, 1, 1)), np.ones((2, 0, 1))])
+    def test_rejects_utilities_that_are_not_3d_with_no_empty_axis(self, phi):
+        with pytest.raises(ValueError, match="3-D array with no empty axis"):
+            ProblemInstance(np.ones(2), phi, [1, 1], 1)
+
+    @pytest.mark.parametrize("field, caps, m0", [
+        ("ue_cc_caps", [1.7, 2.9], 2), ("ue_cc_caps", [True, True], 2), ("ue_cc_caps", [1.0, 2.0], 2),
+        ("system_cc_cap", [1, 2], 2.9), ("system_cc_cap", [1, 2], True), ("system_cc_cap", [1, 2], 2.0),
+    ])
+    def test_rejects_caps_that_are_not_integers(self, field, caps, m0):
+        # Neither truncated (caps [1.7, 2.9] and M0 2.9 used to read [1, 2]
+        # and 2) nor read as 1 (True).
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ProblemInstance(np.ones(2), np.ones((2, 3, 1)), caps, m0)
+
+    def test_accepts_numpy_integer_caps(self):
+        for caps in (np.array([1, 2], dtype=np.int32), np.array([1, 2], dtype=np.uint8),
+                     [np.int64(1), np.int16(2)]):
+            inst = ProblemInstance(np.ones(2), np.ones((2, 3, 1)), caps, np.int64(2))
+            assert inst.ue_cc_caps.dtype == int and inst.ue_cc_caps.tolist() == [1, 2]
+            assert type(inst.system_cc_cap) is int and inst.system_cc_cap == 2
 
     def test_arrays_are_read_only(self):
-        inst = make_instance([1.0], [[[1.0]]], [1], 1)
+        inst = ProblemInstance([1.0], [[[1.0]]], [1], 1)
         with pytest.raises(ValueError):
             inst.utilities[0, 0, 0] = 2.0
 
     def test_json_round_trip(self):
-        inst = make_instance([1.0, 2.0], [[[1.0, 2.0]], [[3.0, 4.0]]], [1, 1], 1)
+        inst = ProblemInstance([1.0, 2.0], [[[1.0, 2.0]], [[3.0, 4.0]]], [1, 1], 1)
         doc = json.loads(inst.to_json())
         assert set(doc) == {"K", "M", "N", "weights", "Mk", "M0", "phi"}
         back = ProblemInstance.from_json(inst.to_json())
@@ -78,17 +105,17 @@ class TestProblemInstance:
 
 class TestEvaluateWsu:
     def test_single_entry(self):
-        inst = make_instance([1.0], [[[2.5]]], [1], 1)
+        inst = ProblemInstance([1.0], [[[2.5]]], [1], 1)
         assert evaluate_wsu(inst, full_binary(inst)) == 2.5
 
     def test_empty_allocation_is_zero(self):
-        inst = make_instance([1.0, 1.0], np.ones((2, 2, 2)), [2, 2], 2)
+        inst = ProblemInstance([1.0, 1.0], np.ones((2, 2, 2)), [2, 2], 2)
         assert evaluate_wsu(inst, empty_binary(inst)) == 0.0
 
     def test_two_ue_hand_sum(self):
         # UE 0 takes carrier 0 (utility 3), UE 1 takes carrier 1 (utility 4).
         phi = [[[3.0], [1.0]], [[2.0], [4.0]]]
-        inst = make_instance([1.0, 1.0], phi, [2, 2], 2)
+        inst = ProblemInstance([1.0, 1.0], phi, [2, 2], 2)
         alpha = np.zeros((2, 2, 1))
         alpha[0, 0, 0] = 1
         alpha[1, 1, 0] = 1
@@ -97,31 +124,31 @@ class TestEvaluateWsu:
         assert evaluate_wsu(inst, alloc) == 7.0
 
     def test_inconsistent_entries_do_not_count(self):
-        inst = make_instance([1.0], [[[5.0]]], [1], 1)
+        inst = ProblemInstance([1.0], [[[5.0]]], [1], 1)
         alloc = BinaryAllocation(np.ones((1, 1, 1)), np.zeros((1, 1)), np.ones(1))
         assert evaluate_wsu(inst, alloc) == 0.0
 
     def test_dimension_mismatch(self):
-        inst = make_instance([1.0], [[[1.0]]], [1], 1)
-        other = make_instance([1.0], [[[1.0], [1.0]]], [1], 1)
+        inst = ProblemInstance([1.0], [[[1.0]]], [1], 1)
+        other = ProblemInstance([1.0], [[[1.0], [1.0]]], [1], 1)
         with pytest.raises(DimensionMismatchError):
             evaluate_wsu(inst, full_binary(other))
 
 
 class TestEvaluateRelaxedWsu:
     def test_all_ones(self):
-        inst = make_instance([1.0], [[[1.0, 2.0]]], [1], 1)
+        inst = ProblemInstance([1.0], [[[1.0, 2.0]]], [1], 1)
         rel = RelaxedAllocation(np.ones((1, 1, 2)), np.ones((1, 1)), np.ones(1))
         assert evaluate_relaxed_wsu(inst, rel) == 3.0
 
     def test_linear_in_beta(self):
-        inst = make_instance([1.0], [[[1.0, 2.0]]], [1], 1)
+        inst = ProblemInstance([1.0], [[[1.0, 2.0]]], [1], 1)
         rel = RelaxedAllocation(np.ones((1, 1, 2)), np.full((1, 1), 0.5), np.ones(1))
         assert evaluate_relaxed_wsu(inst, rel) == 1.5
 
     def test_matches_binary_on_binary_values(self):
         phi = [[[3.0], [1.0]], [[2.0], [4.0]]]
-        inst = make_instance([1.0, 1.0], phi, [2, 2], 2)
+        inst = ProblemInstance([1.0, 1.0], phi, [2, 2], 2)
         alpha = np.zeros((2, 2, 1))
         alpha[0, 0, 0] = 1
         alpha[1, 1, 0] = 1
@@ -132,19 +159,19 @@ class TestEvaluateRelaxedWsu:
 
 class TestCheckFeasibility:
     def test_empty_allocation_passes(self):
-        inst = make_instance([1.0, 1.0], np.ones((2, 2, 2)), [1, 1], 1)
+        inst = ProblemInstance([1.0, 1.0], np.ones((2, 2, 2)), [1, 1], 1)
         report = check_feasibility(inst, empty_binary(inst))
         assert report.ok
 
     def test_shared_block_fails_c1(self):
-        inst = make_instance([1.0, 1.0], np.ones((2, 2, 2)), [2, 2], 2)
+        inst = ProblemInstance([1.0, 1.0], np.ones((2, 2, 2)), [2, 2], 2)
         alloc = full_binary(inst)  # both UEs on every block
         report = check_feasibility(inst, alloc)
         assert not report.c1_ok
         assert report.c1_violation == (0, 0)
 
     def test_too_many_carriers_fails_c2(self):
-        inst = make_instance([1.0], np.ones((1, 3, 2)), [1], 3)
+        inst = ProblemInstance([1.0], np.ones((1, 3, 2)), [1], 3)
         alloc = BinaryAllocation(np.zeros((1, 3, 2)), np.ones((1, 3)), np.ones(3))
         report = check_feasibility(inst, alloc)
         assert not report.c2_ok
@@ -152,14 +179,14 @@ class TestCheckFeasibility:
         assert report.c1_ok
 
     def test_too_many_active_carriers_fails_c3(self):
-        inst = make_instance([1.0], np.ones((1, 3, 2)), [1], 1)
+        inst = ProblemInstance([1.0], np.ones((1, 3, 2)), [1], 1)
         alloc = BinaryAllocation(np.zeros((1, 3, 2)), np.zeros((1, 3)), np.ones(3))
         report = check_feasibility(inst, alloc)
         assert not report.c3_ok
         assert report.c3_violation == 1  # second active carrier breaks the cap of 1
 
     def test_broken_chain_fails_consistency(self):
-        inst = make_instance([1.0], np.ones((1, 2, 2)), [1], 2)
+        inst = ProblemInstance([1.0], np.ones((1, 2, 2)), [1], 2)
         alpha = np.zeros((1, 2, 2))
         alpha[0, 1, 1] = 1
         alloc = BinaryAllocation(alpha, np.zeros((1, 2)), np.ones(2))
@@ -215,7 +242,7 @@ class TestTopCapIndicator:
 class TestRoundAllocation:
     def test_users_take_their_carriers_from_the_active_ones(self):
         # M0 = 2 activates carriers 1 and 3.
-        inst = make_instance([1.0] * 3, np.ones((3, 5, 1)), [1, 1, 4], 2)
+        inst = ProblemInstance([1.0] * 3, np.ones((3, 5, 1)), [1, 1, 4], 2)
         gamma = np.array([0.1, 0.9, 0.2, 0.8, 0.3])
         beta = np.array([
             [1.0, 0.5, 0.9, 0.5, 0.7],  # a tie on the active carriers: the lower index
@@ -231,7 +258,7 @@ class TestRoundAllocation:
         for _ in range(200):
             K, M = int(rng.integers(1, 6)), int(rng.integers(1, 9))
             caps = rng.integers(1, M + 1, K)
-            inst = make_instance(np.ones(K), np.ones((K, M, 1)), caps, int(rng.integers(1, M + 1)))
+            inst = ProblemInstance(np.ones(K), np.ones((K, M, 1)), caps, int(rng.integers(1, M + 1)))
             beta = rng.integers(0, 4, (K, M)) * 0.25  # ties are common
             gamma = rng.uniform(size=M)
             out = round_allocation(inst, beta, gamma)
@@ -245,7 +272,7 @@ class TestRoundAllocation:
 class TestQuantize:
     def test_binary_input_is_fixed_point(self):
         phi = np.ones((2, 2, 1))
-        inst = make_instance([1.0, 1.0], phi, [1, 1], 2)
+        inst = ProblemInstance([1.0, 1.0], phi, [1, 1], 2)
         alpha = np.zeros((2, 2, 1))
         alpha[0, 0, 0] = 1
         alpha[1, 1, 0] = 1
@@ -257,7 +284,7 @@ class TestQuantize:
         np.testing.assert_array_equal(out.gamma, [1, 1])
 
     def test_gamma_top2(self):
-        inst = make_instance([1.0], np.ones((1, 4, 2)), [4], 2)
+        inst = ProblemInstance([1.0], np.ones((1, 4, 2)), [4], 2)
         rel = RelaxedAllocation(
             np.full((1, 4, 2), 0.5), np.full((1, 4), 0.5), np.array([0.9, 0.1, 0.8, 0.2])
         )
@@ -265,7 +292,7 @@ class TestQuantize:
         np.testing.assert_array_equal(out.gamma, [1, 0, 1, 0])
 
     def test_beta_top1(self):
-        inst = make_instance([1.0], np.ones((1, 3, 2)), [1], 3)
+        inst = ProblemInstance([1.0], np.ones((1, 3, 2)), [1], 3)
         rel = RelaxedAllocation(
             np.full((1, 3, 2), 0.5), np.array([[0.2, 0.7, 0.1]]), np.ones(3)
         )
@@ -278,7 +305,7 @@ class TestQuantize:
             K = int(rng.integers(1, 5))
             M = int(rng.integers(1, 6))
             N = int(rng.integers(1, 4))
-            inst = make_instance(
+            inst = ProblemInstance(
                 rng.uniform(0.1, 2.0, K),
                 rng.uniform(0.0, 1.0, (K, M, N)),
                 rng.integers(1, M + 1, K),
@@ -293,7 +320,7 @@ class TestQuantize:
         rng = np.random.default_rng(11)
         for _ in range(50):
             K, M, N = 3, 5, 2
-            inst = make_instance(
+            inst = ProblemInstance(
                 rng.uniform(0.1, 2.0, K),
                 rng.uniform(0.0, 1.0, (K, M, N)),
                 rng.integers(1, M + 1, K),
@@ -320,7 +347,7 @@ class TestQuantize:
             N = int(rng.integers(1, 4))
             caps = rng.integers(1, M + 1, K)
             m0 = int(rng.integers(1, M + 1))
-            inst = make_instance(
+            inst = ProblemInstance(
                 rng.uniform(0.1, 2.0, K), rng.uniform(0.0, 1.0, (K, M, N)), caps, m0
             )
             alpha = rng.uniform(0, 1, (K, M, N))

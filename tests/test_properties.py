@@ -32,9 +32,6 @@ def rounding_inputs(draw):
     values = st.sampled_from([0.0, 0.5, 1.0]) if coarse else UNIT
     weights = st.sampled_from([0.5, 1.0]) if coarse else st.floats(0.01, 1.0)
     instance = ProblemInstance(
-        num_ues=K,
-        num_ccs=M,
-        num_rbs_per_cc=N,
         weights=draw(arrays(float, K, elements=weights)),
         utilities=draw(arrays(float, (K, M, N), elements=values)),
         ue_cc_caps=draw(arrays(int, K, elements=st.integers(1, M))),

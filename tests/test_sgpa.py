@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from caralloc.core import (
+    ProblemInstance,
     RelaxedAllocation,
     check_feasibility,
     evaluate_relaxed_wsu,
@@ -25,7 +26,7 @@ from caralloc.sgpa import (
 )
 from caralloc.simharness import GenParams, sample_instance
 
-from helpers import alpha_rounding, binary_distance, make_instance
+from helpers import alpha_rounding, binary_distance
 from test_golden import SHAPES, WEIGHT_MODES
 
 
@@ -62,7 +63,7 @@ class TestSweepScores:
     def test_hand_example(self):
         # K=2, M=2, N=1. Weighted utilities W = w * phi = [[2, 8], [6, 3]];
         # rates r = alpha * W = [[1, 2], [3, 2.25]].
-        instance = make_instance([2.0, 3.0], [[[1.0], [4.0]], [[2.0], [1.0]]], [1, 1], 1)
+        instance = ProblemInstance([2.0, 3.0], [[[1.0], [4.0]], [[2.0], [1.0]]], [1, 1], 1)
         weighted = instance.weighted_utilities
         alpha = np.array([[[0.5], [0.25]], [[0.5], [0.75]]])
         # The carrier shares beta over the activations gamma = [0.5, 0.25].
@@ -364,7 +365,7 @@ class TestFixedRateIteration:
 
 class TestSolve:
     def test_trivial_instance_converges_in_one_iteration(self):
-        inst = make_instance([1.0], [[[2.0]]], [1], 1)
+        inst = ProblemInstance([1.0], [[[2.0]]], [1], 1)
         result = solve(inst)
         assert result.converged
         assert result.iterations_run == 1
@@ -440,20 +441,20 @@ class TestSolve:
 
 class TestTrace:
     def test_single_iteration_series(self):
-        inst = make_instance([1.0], [[[2.0]]], [1], 1)
+        inst = ProblemInstance([1.0], [[[2.0]]], [1], 1)
         result = solve(inst, SgpaConfig(max_iterations=1, record_trace=True))
         assert [(rec.iteration, rec.relaxed_wsu) for rec in result.trace] == [(1, 2.0)]
 
     def test_fixed_point_series_is_constant(self):
         # With one user, one carrier and caps of 1, the uniform start is the
         # all-ones fixed point.
-        inst = make_instance([1.0], [[[2.0]]], [1], 1)
+        inst = ProblemInstance([1.0], [[[2.0]]], [1], 1)
         result = solve(inst, SgpaConfig(max_iterations=5, record_trace=True))
         assert {rec.relaxed_wsu for rec in result.trace} == {2.0}
 
     def test_untraced_run_raises(self, tmp_path):
         """An untraced run carries no trace, and writing one is refused."""
-        inst = make_instance([1.0], [[[2.0]]], [1], 1)
+        inst = ProblemInstance([1.0], [[[2.0]]], [1], 1)
         result = solve(inst)
         assert result.trace is None
         with pytest.raises(ValueError, match="without trace recording"):

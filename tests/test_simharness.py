@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +10,8 @@ import pytest
 from scipy import integrate
 
 from caralloc import simharness
-from caralloc.core import evaluate_wsu, top_cap_indicator
-from caralloc.sgpa import SgpaConfig
+from caralloc.core import ProblemInstance, evaluate_wsu, top_cap_indicator
+from caralloc.sgpa import IterationRecord, SgpaConfig
 from caralloc.simharness import (
     ALGORITHMS,
     GenParams,
@@ -56,6 +56,24 @@ class TestGenParams:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
             small_params(seed=-1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("K", 2.5), ("M", 3.0), ("N", True), ("ue_cc_cap", 1.0), ("system_cc_cap_limit", "2"),
+        ("seed", 0.5),
+    ])
+    def test_rejects_counts_that_are_not_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            small_params(**{name: value})
+
+    def test_rejects_stream_key_items_that_are_not_integers(self):
+        with pytest.raises(ValueError, match=r"stream_key\[1\] must be an integer"):
+            small_params(stream_key=(0, 1.0))
+
+    def test_accepts_numpy_integers(self):
+        params = small_params(K=np.int64(2), M=np.int32(3), seed=np.uint8(4),
+                              stream_key=(np.int64(1), 2))
+        assert params == small_params(K=2, M=3, seed=4, stream_key=(1, 2))
+        assert type(params.K) is int and type(params.stream_key[0]) is int
 
     def test_snr_bound_keeps_utilities_finite(self):
         params = small_params(K=10, M=10, N=20, snr_db_range=(-1000.0, 1000.0))
@@ -336,6 +354,21 @@ class TestRunSweep:
         config = SweepConfig.from_dict(doc)
         assert [p.ue_cc_cap for p in config.grid_points()] == [2]
 
+    @pytest.mark.parametrize("name, value", [
+        ("trials", 1.5), ("trials", True), ("base_seed", 0.0), ("jobs", True), ("jobs", 2.0),
+        ("m_grid", (3, 4.0)), ("mk_grid", (True,)),
+    ])
+    def test_rejects_counts_that_are_not_integers(self, name, value):
+        counts = {"trials": 1, "base_seed": 0, name: value}
+        with pytest.raises(ValueError, match=rf"{name}(\[\d\])? must be an integer"):
+            SweepConfig(algorithms=("sgpa",), gen=small_params(), **counts)
+
+    def test_accepts_numpy_integers(self):
+        config = SweepConfig(algorithms=("sgpa",), gen=small_params(), trials=np.int64(2),
+                             base_seed=np.int32(0), m_grid=(np.int64(3),), jobs=np.uint8(1))
+        assert (config.trials, config.base_seed, config.m_grid, config.jobs) == (2, 0, (3,), 1)
+        assert type(config.trials) is int and type(config.m_grid[0]) is int
+
     def test_readme_sweep_configs_load(self):
         # Every ```json block in README.md is a sweep config.
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -344,8 +377,32 @@ class TestRunSweep:
         for block in blocks:
             SweepConfig.from_dict(json.loads(block))
 
+    def test_readme_column_and_key_lists_match_the_code(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        trace = ",".join(f.name for f in fields(IterationRecord))
+        sweep = ",".join(simharness.CSV_HEADER)
+        # Every comma-joined column list in backticks is one of the two CSV headers.
+        assert sorted(re.findall(r"`(\w+(?:,\w+)+)`", readme)) == sorted([trace, sweep])
+        keys = re.search(r"instance file \(JSON: \{(.*?)\}\)", readme).group(1)
+        written = ProblemInstance(np.ones(1), np.ones((1, 1, 1)), [1], 1).to_dict()
+        assert json.loads(f"[{keys}]") == list(written)
+
 
 class TestFig1Experiment:
+    @pytest.mark.parametrize("args, name", [
+        ((4.0, 2, 1, 0), "M"), ((4, True, 1, 0), "M_k"), ((4, 2, 1.0, 0), "iterations"),
+        ((4, 2, 1, 0.5), "seed"),
+    ])
+    def test_rejects_arguments_that_are_not_integers(self, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            fig1_experiment(*args)
+
+    def test_accepts_numpy_integers(self):
+        np.testing.assert_array_equal(
+            fig1_experiment(np.int64(4), np.int32(2), np.uint8(3), np.int64(1)),
+            fig1_experiment(4, 2, 3, 1),
+        )
+
     def test_trajectory_shape_and_start(self):
         traj = fig1_experiment(10, 2, 30, seed=0)
         assert traj.shape == (31, 10)
