@@ -133,7 +133,7 @@ _INSTANCE_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """Immutable description of one allocation problem.
 
@@ -146,7 +146,9 @@ class ProblemInstance:
     an integer-kind array); ValueError naming the field otherwise.
 
     Instances are deep-copied on construction and their arrays are marked
-    read-only, so one instance can be shared freely across workers.
+    read-only, so one instance can be shared freely across workers. Two
+    instances are equal only when they are the same object, and the hash is
+    the identity's.
     """
 
     weights: np.ndarray

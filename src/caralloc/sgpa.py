@@ -14,21 +14,25 @@ fixed; :class:`SgpaConfig` sets only the sweep budget and the trace.
 
 The normalization multiplier is found exactly by a breakpoint scan over the
 sorted rates (no root-finding). One routine, :func:`_normalize_rows`, serves
-every normalization: it takes a whole array of rows with one cap each; a row
-at or below its cap saturates (its positive scores all become 1), and only
-the rows with more positive scores than their cap go through the scan,
-:func:`_breakpoint_scan`. Scores are validated only at the public entry,
-:func:`capped_simplex_normalize`; the updates inside :func:`solve` call
-:func:`_normalize_rows` directly and check only that the scores are floats
-they can write the new shares over.
+every normalization: it takes a whole array of rows with one cap each and
+writes the shares over it, and every row takes the same steps, one sort and
+one scan. The same sort tells which rows saturate (at most their cap of
+positive scores, so their positive scores all become 1) and which have no
+positive score at all. What the steps need of the caps and the row length
+is formed once per cap set and length and cached. Scores are validated only
+at the public entry, :func:`capped_simplex_normalize`; the updates inside
+:func:`solve` call :func:`_normalize_rows` directly and check only that the
+scores are floats they can write the new shares over.
 
 The sweep's cost is linear in K*M*N, and its passes run in place. An iterate
 is one flat buffer, with the block shares and the share matrix as two views
 of it. :func:`solve` forms the weighted utilities once, writes each sweep's
 block and share scores into a second such buffer, and :func:`update_alpha`
-and :func:`update_beta` normalize them there; the snap and the change then
-take one pass each over the whole buffer. Apart from its start and its cuts,
-a solve allocates no K*M*N array until the rounding.
+and :func:`update_beta` normalize them there; the snap then takes one pass
+over the whole buffer. The change takes one pass over the share matrix, and
+over the block shares only once the share matrix has settled (or for a
+trace). Apart from its start and its cuts, a solve allocates no K*M*N array
+until the rounding.
 
 A carrier whose activation reaches exactly 0 stays switched off, and every
 share under it is 0 from then on. Once at least half of the carriers in its
@@ -42,8 +46,9 @@ so every live value is the same bits as when sweeping all carriers.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import astuple, dataclass, fields
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -140,63 +145,110 @@ def capped_simplex_normalize(v, cap: int) -> NormalizationSolution:
     if not np.any(v > 0):
         raise ValueError("at least one score must be positive")
 
-    x, kappa = _normalize_rows(v[None, :], np.array([cap]))
-    return NormalizationSolution(
-        kappa=float(kappa[0]), x=x[0], saturated_count=int(np.count_nonzero(x == 1.0))
-    )
+    x = v.copy()
+    kappa = float(_normalize_rows(x[None, :], np.array([cap]))[0][0])
+    positive = v[v > 0]
+    if positive.size <= cap:  # saturated: the kernel gives kappa 0 there
+        kappa = float(positive.min())
+    return NormalizationSolution(kappa=kappa, x=x, saturated_count=int(np.count_nonzero(x == 1.0)))
 
 
 def _normalize_rows(v: np.ndarray, caps: np.ndarray) -> tuple:
     """Capped-simplex normalization of every row of ``v`` (rows, P) at once,
-    row r onto sum ``caps[r]``: the arrays ``x`` (rows, P) and ``kappa``
-    (rows,), as :func:`capped_simplex_normalize` defines them per row.
+    row r onto sum ``caps[r]``, written over ``v``: each row becomes ``x``
+    as :func:`capped_simplex_normalize` defines it. Returns ``kappa``
+    (rows,) and the mask of rows with no positive score.
 
     Unchecked: caps >= 1; a cap above P acts as P. A row with at most its
-    cap of positive scores saturates: ``x`` is its positive mask and kappa
-    its smallest positive score (a row with none comes out all zero, with
-    kappa inf). Only the other rows go through :func:`_breakpoint_scan`.
+    cap of positive scores saturates: ``x`` is its positive mask, and
+    ``kappa`` is 0 there (a row with no positive score comes out all zero).
+
+    The solve is exact, not iterative, and every row takes the same steps.
+    With a row's scores sorted descending, the number of saturated entries
+    t is the first value in {0, ..., cap-1} for which kappa = (sum of
+    scores from position t on) / (cap - t) lands between the scores at
+    positions t and t-1. Each row is sorted ascending, so the zeros lead
+    and add exactly 0.0 to the running sums, which therefore carry the same
+    bits as sums over the positive scores alone. A row saturates when its
+    (cap+1)-th largest score is 0 or its cap is at least P; the scan does
+    not find that case itself (with exactly cap near-tied positive scores,
+    t = 0 can fit and leave the shares a rounding short of 1). O(P log P)
+    per row, and each row's result is independent of the other rows passed
+    with it.
     """
-    positive = v > 0.0
-    x = positive.astype(float)
-    kappa = v.min(axis=1, where=positive, initial=np.inf)
-    scan = positive.sum(axis=1) > caps
-    if scan.any():
-        x[scan], kappa[scan] = _breakpoint_scan(v[scan], caps[scan])
-    return x, kappa
-
-
-def _breakpoint_scan(v: np.ndarray, caps: np.ndarray) -> tuple:
-    """``x`` and ``kappa`` of rows that each hold more positive scores than
-    their cap, as :func:`_normalize_rows` returns them.
-
-    The solve is exact, not iterative. With a row's scores sorted
-    descending, the number of saturated entries t is the first value in
-    {0, ..., cap-1} for which kappa = (sum of scores from position t on) /
-    (cap - t) lands between the scores at positions t and t-1. Each row is
-    sorted ascending, so the zeros lead and add exactly 0.0 to the running
-    sums, which therefore carry the same bits as sums over the positive
-    scores alone. O(P log P) per row, and each row's result is independent
-    of the other rows passed with it.
-    """
-    asc = np.sort(v, axis=1)
-    width = int(caps.max())
+    plan = _scan_plan(caps.tobytes(), caps.dtype.str, v.shape[1])
+    asc = v.copy()
+    asc.sort(axis=1)
+    width = plan.denominators.shape[1]
     desc = asc[:, : -width - 1 : -1]  # the largest `width` scores, descending
-    tail = np.cumsum(asc, axis=1)[:, : -width - 1 : -1]  # tail[:, t] = sum of desc[t:]
-    kappa = tail / np.maximum(caps[:, None] - np.arange(width), 1)  # cap - t
+    tail = asc.cumsum(axis=1)[:, : -width - 1 : -1]  # tail[:, t] = sum of desc[t:]
+    levels = tail / plan.denominators
     # Exact arithmetic puts kappa in [desc[t], desc[t-1]] at exactly one
     # t < cap. The relative slack admits float-degenerate boundaries (a tiny
     # tail entry absorbed by the sum can land kappa exactly on desc[t]);
     # neighbouring t values give the same x to within the slack there. The
     # first t passing the lower test alone is that one: the test holds at
     # t = cap - 1 (kappa is the tail sum there, and a float sum of
-    # nonnegative terms is at least each term), so every row has one, and
-    # failing it at t - 1 puts kappa[t] below desc[t-1] by more than
-    # rounding (normal floats).
-    fits = kappa >= desc * (1.0 - 1e-12)
-    kappa = kappa[np.arange(len(v)), fits.argmax(axis=1)]
-    x = np.minimum(1.0, v / kappa[:, None])
-    x[v == 0.0] = 0.0  # a zero score of either sign maps to +0.0
-    return x, kappa
+    # nonnegative terms is at least each term), so every row that does not
+    # saturate has one, and failing it at t - 1 puts kappa[t] below
+    # desc[t-1] by more than rounding (normal floats).
+    fits = levels >= desc * (1.0 - 1e-12)
+    kappa = levels.ravel()[plan.row_starts + fits.argmax(axis=1)]
+    flat = asc.ravel()
+    kappa[flat[plan.saturation] <= plan.saturation_limit] = 0.0
+    zero = v == 0.0
+    # A saturated row's kappa is 0: its positive scores divide to inf and
+    # clip to 1, its zeros divide to nan and are reset below, so neither
+    # warning means a fault.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(v, kappa[:, None], out=v)
+        np.minimum(v, 1.0, out=v)
+    v[zero] = 0.0  # a zero score of either sign maps to +0.0
+    return kappa, flat[plan.row_tops] == 0.0
+
+
+class _ScanPlan(NamedTuple):
+    """What :func:`_normalize_rows` needs of the caps and the row length P,
+    as read-only arrays, with W = min(max cap, P) scan columns:
+
+    - ``denominators``: ``max(min(cap, P) - t, 1)`` for t < W, (rows, W);
+    - ``row_starts``: each row's first flat index in a (rows, W) array;
+    - ``row_tops``: each row's flat index of its largest score in the
+      sorted (rows, P) array;
+    - ``saturation`` and ``saturation_limit``: a flat index into the sorted
+      rows and a limit, such that a row saturates when its score there is
+      at most the limit. With a cap below P, that is the row's (cap+1)-th
+      largest score with limit 0; with a cap of at least P, any score of
+      the row with limit inf.
+    """
+
+    denominators: np.ndarray
+    row_starts: np.ndarray
+    row_tops: np.ndarray
+    saturation: np.ndarray
+    saturation_limit: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _scan_plan(caps_bytes: bytes, dtype: str, width: int) -> _ScanPlan:
+    """The :class:`_ScanPlan` of the caps whose bytes and dtype are given,
+    for rows of length ``width``. A solve calls the kernel with one cap set
+    every sweep, and with one row length between its cuts, so forming these
+    once per cap set and length saves their cost on every later sweep."""
+    caps = np.minimum(np.frombuffer(caps_bytes, dtype=dtype), width).astype(int)
+    columns = int(caps.max(initial=1))  # 1 for an empty batch
+    rows = np.arange(caps.size)
+    wide = caps == width
+    plan = _ScanPlan(
+        denominators=np.maximum(caps[:, None] - np.arange(columns), 1).astype(float),
+        row_starts=rows * columns,
+        row_tops=rows * width + width - 1,
+        saturation=rows * width + np.where(wide, 0, width - 1 - caps),
+        saturation_limit=np.where(wide, np.inf, 0.0),
+    )
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
 def _sweep_scores(weighted, alpha, shares, blocks, share_scores) -> tuple:
@@ -235,9 +287,13 @@ def update_alpha(scores: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     since the new shares are written over it."""
     _check_float(scores)
     denom = scores.sum(axis=0)
-    live = denom > 0.0
-    scores /= np.where(live, denom, 1.0)
-    np.copyto(scores, alpha, where=~live)
+    idle = denom == 0.0
+    # An idle column divides 0 by 0 into nan, and its held shares replace
+    # that below. A masked divide would skip those columns, but it runs
+    # slower than the plain one on a full-size sweep's block scores.
+    with np.errstate(invalid="ignore"):
+        scores /= denom
+    np.copyto(scores, alpha, where=idle)
     return scores
 
 
@@ -251,10 +307,8 @@ def update_beta(scores: np.ndarray, shares: np.ndarray, caps) -> np.ndarray:
     The rows go through :func:`_normalize_rows`; a row whose scores are all
     zero keeps its previous shares, copied bit for bit."""
     _check_float(scores)
-    x = _normalize_rows(scores, np.asarray(caps))[0]
-    held = ~x.any(axis=1, keepdims=True)  # no positive score: an all-zero row
-    np.copyto(x, shares, where=held)
-    np.copyto(scores, x)
+    held = _normalize_rows(scores, np.asarray(caps))[1]
+    np.copyto(scores, shares, where=held[:, None])
     return scores
 
 
@@ -333,8 +387,8 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     shares, so an instance with no positive utility stops at its start.
 
     An iterate is one flat buffer: ``alpha`` and the share matrix are two
-    views of it, so the snap, the change and the final distance from binary
-    each take one pass over the buffer. The sweep runs in place on two such
+    views of it, so the snap and the final distance from binary each take
+    one pass over the buffer. The sweep runs in place on two such
     buffers beside the weighted utilities, which are formed once per solve.
     The block and share scores go into the free buffer, :func:`update_alpha`
     and :func:`update_beta` normalize them there into the new iterate, the
@@ -403,8 +457,12 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
             new_alpha[:, dead, :] = 0.0
 
         # The old iterate's buffer takes |new - old|, then the next scores.
-        np.abs(np.subtract(free, iterate, out=iterate), out=iterate)
-        max_change = float(iterate.max())
+        # The share matrix goes first: while it moves by the tolerance or
+        # more, the solve goes on whatever the block shares did, so their
+        # change is taken only to stop or for the trace.
+        max_change = _max_change(new_shares, shares)
+        if max_change < CONVERGENCE_TOLERANCE or cfg.record_trace:
+            max_change = max(max_change, _max_change(new_alpha, alpha))
         iterate, alpha, shares, free, new_alpha, new_shares = (
             free, new_alpha, new_shares, iterate, alpha, shares
         )
@@ -453,6 +511,12 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
         binary_distance=binary_distance,
         trace=trace,
     )
+
+
+def _max_change(new: np.ndarray, old: np.ndarray) -> float:
+    """The largest ``|new - old|``, formed over ``old``."""
+    np.abs(np.subtract(new, old, out=old), out=old)
+    return float(old.max())
 
 
 def _iterate_buffer(K: int, num_ccs: int, N: int) -> tuple:

@@ -117,8 +117,8 @@ class GenParams:
     count. SNRs are drawn uniformly in dB, channel gains are unit-mean
     exponential, and each block utility is the normalized link capacity of
     its channel. Every count (K, M, N, both caps, the seed and each
-    ``stream_key`` item) is a Python or numpy integer; ValueError naming the
-    field otherwise.
+    ``stream_key`` item) is a Python or numpy integer, and the seed and each
+    ``stream_key`` item are >= 0; ValueError naming the field otherwise.
     """
 
     K: int
@@ -151,6 +151,9 @@ class GenParams:
             raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}, not {self.weight_mode!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, not {self.seed}")
+        for i, item in enumerate(self.stream_key):
+            if item < 0:
+                raise ValueError(f"stream_key[{i}] must be >= 0, not {item}")
 
     @property
     def effective_system_cap(self) -> int:

@@ -65,6 +65,14 @@ class TestProblemInstance:
             ProblemInstance(num_ues=2, weights=np.ones(2), utilities=np.ones((2, 3, 4)),
                             ue_cc_caps=[1, 3], system_cc_cap=2)
 
+    def test_equality_and_hash_are_identity(self):
+        # The generated __eq__ and __hash__ would compare the array fields:
+        # == raised "truth value ... ambiguous" and hash() "unhashable".
+        a = ProblemInstance(np.ones(2), np.ones((2, 3, 4)), [1, 3], 2)
+        b = ProblemInstance(np.ones(2), np.ones((2, 3, 4)), [1, 3], 2)
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+
     @pytest.mark.parametrize("phi", [np.ones((2, 3)), np.ones((2, 3, 1, 1)), np.ones((2, 0, 1))])
     def test_rejects_utilities_that_are_not_3d_with_no_empty_axis(self, phi):
         with pytest.raises(ValueError, match="3-D array with no empty axis"):

@@ -2,19 +2,27 @@
 
 Every output must carry the same bits as the scalar scan in
 ``helpers.reference_capped_simplex_normalize`` gives row by row: the shares
-``x`` and the multiplier ``kappa`` alike. The score sets cover the solver's
-shapes (K up to 10 users, M up to 640 carriers), zeros, heavy skew, ties,
-rows whose positive scores all saturate, all-zero rows and one cap per row.
+``x`` on every row, and the multiplier ``kappa`` on every row with more
+positive scores than its cap (the kernel gives a saturated row kappa 0;
+:func:`capped_simplex_normalize` reports its smallest positive score). The
+score sets cover the solver's shapes (K up to 10 users, M up to 640
+carriers), zeros, heavy skew, ties, rows whose positive scores all
+saturate, all-zero rows and one cap per row.
 """
 
 import numpy as np
+import pytest
 
 from caralloc.sgpa import (
+    SgpaConfig,
     _normalize_rows,
+    _scan_plan,
     capped_simplex_normalize,
+    solve,
     update_beta,
     update_gamma,
 )
+from caralloc.simharness import GenParams, sample_instance
 
 from helpers import reference_capped_simplex_normalize
 
@@ -63,6 +71,13 @@ def float_bytes(value):
     return np.float64(value).tobytes()
 
 
+def normalized(v, caps):
+    """``_normalize_rows`` out of place: the shares, kappa and held mask."""
+    x = np.array(v, dtype=float)
+    kappa, held = _normalize_rows(x, np.asarray(caps))
+    return x, kappa, held
+
+
 class TestKernelAgainstReference:
     def test_bytes_equal_the_scalar_scan(self):
         rows_checked = {kind: 0 for kind in KINDS}
@@ -72,16 +87,23 @@ class TestKernelAgainstReference:
             if not live.any():
                 continue
             v, caps = v[live], caps[live]
-            x, kappa = _normalize_rows(v, caps)
-            assert x.shape == v.shape and kappa.shape == (len(v),)
-            all_saturated += bool(np.all((v > 0).sum(axis=1) <= caps))
+            x, kappa, held = normalized(v, caps)
+            assert x.shape == v.shape and kappa.shape == held.shape == (len(v),)
+            assert not held.any()
+            saturated = (v > 0).sum(axis=1) <= caps
+            all_saturated += bool(saturated.all())
             for r in range(len(v)):
                 ref = reference_capped_simplex_normalize(v[r], caps[r])
                 assert x[r].tobytes() == ref.x.tobytes(), (kind, r)
-                assert float_bytes(kappa[r]) == float_bytes(ref.kappa), (kind, r)
+                if saturated[r]:
+                    assert kappa[r] == 0.0, (kind, r)
+                    kappa_r = capped_simplex_normalize(v[r], caps[r]).kappa
+                else:
+                    kappa_r = kappa[r]
+                assert float_bytes(kappa_r) == float_bytes(ref.kappa), (kind, r)
                 rows_checked[kind] += 1
         assert min(rows_checked.values()) >= 500
-        assert all_saturated >= 200  # the exit that skips the scan is covered
+        assert all_saturated >= 200  # batches with no row to scan are covered
 
     def test_public_entry_matches_the_scalar_scan(self):
         rng = np.random.default_rng(13)
@@ -100,7 +122,7 @@ class TestKernelAgainstReference:
     def test_float_degenerate_boundary(self):
         # A score absorbed by the tail sum lands kappa on a breakpoint.
         v = np.array([[4.2, 2.7, 3.7e-22], [1.0, 1.0, 1.0]])
-        x, kappa = _normalize_rows(v, np.array([2, 2]))
+        x, kappa, _ = normalized(v, [2, 2])
         for r in range(2):
             ref = reference_capped_simplex_normalize(v[r], 2)
             assert x[r].tobytes() == ref.x.tobytes()
@@ -114,12 +136,16 @@ class TestKernelAgainstReference:
         for kind, v, caps in score_sets(count=300, seed=19):
             width = v.shape[1]
             above = caps + rng.integers(width, 2 * width + 1, caps.size)
-            x_above, kappa_above = _normalize_rows(v, above)
-            x_width, kappa_width = _normalize_rows(v, np.full(caps.size, width))
+            x_above, kappa_above, held_above = normalized(v, above)
+            x_width, kappa_width, held_width = normalized(v, np.full(caps.size, width))
             assert x_above.tobytes() == x_width.tobytes() == (v > 0).astype(float).tobytes()
-            assert kappa_above.tobytes() == kappa_width.tobytes()
+            assert (kappa_above == 0.0).all() and (kappa_width == 0.0).all()
             live = v.max(axis=1) > 0.0
-            assert (kappa_above[live] == v[live].min(axis=1, where=v[live] > 0, initial=np.inf)).all()
+            assert (held_above == ~live).all() and (held_width == ~live).all()
+            for row in v[live]:
+                sol = capped_simplex_normalize(row, width)
+                assert sol.x.tobytes() == (row > 0).astype(float).tobytes()
+                assert sol.kappa == row[row > 0].min()
 
     def test_negative_zero_maps_to_zero(self):
         # -0.0 passes the nonnegativity check; its share is +0.0, as in the
@@ -128,13 +154,59 @@ class TestKernelAgainstReference:
             sol = capped_simplex_normalize(v, cap)
             assert sol.x.tobytes() == reference_capped_simplex_normalize(v, cap).x.tobytes()
 
+    def test_exactly_cap_near_tied_scores_saturate(self):
+        # With exactly cap positive scores the scan alone can fit t = 0 and
+        # leave each share a rounding short of 1 (0.9999999999999998 for
+        # [0.1] * 3 at cap 3); the saturation test makes them exactly 1.
+        rng = np.random.default_rng(23)
+        rows = [[0.1, 0.1, 0.1], [0.1, 0.0, 0.1, 0.1], [0.0, 0.1, 0.0, 0.1]]
+        caps = [3, 3, 2]
+        for _ in range(200):
+            cap = int(rng.integers(1, 9))
+            row = np.zeros(cap + int(rng.integers(0, 4)))
+            row[rng.permutation(row.size)[:cap]] = rng.uniform(0.01, 10.0) * (
+                1.0 + rng.integers(-2, 3, cap) * np.finfo(float).eps
+            )
+            rows.append(row)
+            caps.append(cap)
+        for row, cap in zip(rows, caps):
+            x, kappa, held = normalized([row], [cap])
+            ref = reference_capped_simplex_normalize(row, cap)
+            assert x[0].tobytes() == ref.x.tobytes() == (np.asarray(row) > 0).astype(float).tobytes()
+            assert kappa[0] == 0.0 and not held[0]
+
+    def test_all_zero_rows_come_out_zero_and_held(self):
+        v = np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 1.0], [-0.0, 0.0, -0.0], [0.0, 0.0, 0.0]])
+        x, _, held = normalized(v, [1, 1, 3, 2])
+        assert held.tolist() == [True, False, True, True]
+        assert x[held].tobytes() == np.zeros((3, 3)).tobytes()
+        assert x[1].tobytes() == reference_capped_simplex_normalize(v[1], 1).x.tobytes()
+
+    def test_negative_zero_maps_to_zero_in_every_row_kind(self):
+        # A scanned row, a saturated row and a row whose cap is its length:
+        # -0.0 gives +0.0 in each, as in the scalar scan, not the -0.0 or
+        # nan its division gives.
+        v = np.array([[-0.0, 3.0, 1.0, 1.0], [-0.0, 3.0, 0.0, 1.0], [-0.0, 3.0, 1.0, 1.0]])
+        caps = [1, 2, 4]
+        x, _, _ = normalized(v, caps)
+        for r, cap in enumerate(caps):
+            assert x[r].tobytes() == reference_capped_simplex_normalize(v[r], cap).x.tobytes()
+
+    def test_plan_arrays_are_read_only(self):
+        caps = np.array([2, 3, 5])
+        plan = _scan_plan(caps.tobytes(), caps.dtype.str, 4)
+        for array in plan:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+
 
 def out_of_place_update_beta(scores, shares, caps):
     """The share update as a fresh array: each held row (no positive score)
     copied from ``shares``, every other row through ``_normalize_rows``."""
     out = shares.copy()
     live = scores.max(axis=1) > 0.0
-    out[live] = _normalize_rows(scores[live], caps[live])[0]
+    out[live] = normalized(scores[live], caps[live])[0]
     return out
 
 
@@ -226,9 +298,38 @@ class TestUpdates:
                     assert stacked[r].tobytes() == shares[r].tobytes()
                     held += 1
             live = scores.max(axis=1) > 0.0
-            x, kappa = _normalize_rows(scores[live], caps[live])
+            x, kappa, _ = normalized(scores[live], caps[live])
             for row, cap, x_row, kappa_row in zip(scores[live], caps[live], x, kappa):
-                x_alone, kappa_alone = _normalize_rows(row[None, :], np.array([cap]))
+                x_alone, kappa_alone, _ = normalized(row[None, :], [cap])
                 assert x_row.tobytes() == x_alone[0].tobytes()
                 assert float_bytes(kappa_row) == float_bytes(kappa_alone[0])
         assert held >= 100 and scanned >= 250
+
+
+def solve_bytes(instance, sweeps):
+    result = solve(instance, SgpaConfig(max_iterations=sweeps, record_trace=True))
+    relaxed, binary = result.relaxed, result.binary
+    arrays = (relaxed.alpha, relaxed.beta, relaxed.gamma, binary.alpha, binary.beta, binary.gamma)
+    return b"".join(a.tobytes() for a in arrays), result.wsu, result.trace
+
+
+def test_interleaved_solves_match_solves_on_a_fresh_plan_cache():
+    # Two cap sets on one shape and a second shape, solved in turn, so each
+    # solve finds the plans of the others in the cache; the first case cuts
+    # to fewer live carriers than its user cap of 3 (a shorter row length,
+    # caps above it). Every solve must give the bytes it gives alone on an
+    # empty cache: a plan keyed too loosely would show here.
+    cases = [
+        (GenParams(K=12, M=6, N=4, ue_cc_cap=3, system_cc_cap_limit=1, seed=20170611, stream_key=(0, 4)), 200),
+        (GenParams(K=12, M=6, N=4, ue_cc_cap=2, system_cc_cap_limit=4, seed=7), 200),
+        (GenParams(K=4, M=8, N=4, ue_cc_cap=2, system_cc_cap_limit=2, seed=8), 60),
+    ]
+    instances = [(sample_instance(params), sweeps) for params, sweeps in cases]
+    alone = []
+    for instance, sweeps in instances:
+        _scan_plan.cache_clear()
+        alone.append(solve_bytes(instance, sweeps))
+    assert solve(instances[0][0], SgpaConfig(max_iterations=200)).active_carriers == 1
+    for _ in range(2):
+        for (instance, sweeps), expected in zip(instances, alone):
+            assert solve_bytes(instance, sweeps) == expected

@@ -470,6 +470,28 @@ class TestTrace:
         assert all(np.isfinite(rec.relaxed_wsu) for rec in result.trace)
         assert result.trace[-1].relaxed_wsu == evaluate_relaxed_wsu(inst, result.relaxed)
 
+    def test_max_change_is_the_largest_change_of_any_share(self):
+        """An untraced solve takes the block shares' change only once the
+        share matrix has settled, yet it stops where the traced one does,
+        and each record's ``max_change`` is the largest change of any share
+        (block shares, carrier shares or activations) in its sweep. This
+        instance converges in 76 sweeps, with a live-carrier cut on the way."""
+        inst = sample_instance(GenParams(K=4, M=6, N=4, ue_cc_cap=2, system_cc_cap_limit=2, seed=3,
+                                         stream_key=(0, 17)))
+        traced = solve(inst, SgpaConfig(max_iterations=200, record_trace=True))
+        plain = solve(inst, SgpaConfig(max_iterations=200))
+        assert traced.converged and traced.active_carriers < 3
+        assert (plain.iterations_run, plain.converged) == (traced.iterations_run, True)
+        K, M = inst.num_ues, inst.num_ccs
+        previous = (np.full(inst.utilities.shape, 1.0 / K),
+                    np.repeat(1.0 / inst.ue_cc_caps[:, None], M, axis=1),
+                    np.full(M, 1.0 / inst.system_cc_cap))
+        for rec in traced.trace:
+            relaxed = solve(inst, SgpaConfig(max_iterations=rec.iteration)).relaxed
+            current = (relaxed.alpha, relaxed.beta, relaxed.gamma)
+            assert rec.max_change == max(np.abs(a - b).max() for a, b in zip(current, previous))
+            previous = current
+
     def test_csv_export(self, tmp_path):
         inst = sample_instance(GenParams(K=2, M=2, N=2, ue_cc_cap=1, system_cc_cap_limit=2, seed=0))
         result = solve(inst, SgpaConfig(max_iterations=4, record_trace=True))

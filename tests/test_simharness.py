@@ -69,6 +69,10 @@ class TestGenParams:
         with pytest.raises(ValueError, match=r"stream_key\[1\] must be an integer"):
             small_params(stream_key=(0, 1.0))
 
+    def test_rejects_negative_stream_key_items(self):
+        with pytest.raises(ValueError, match=r"stream_key\[1\] must be >= 0"):
+            small_params(stream_key=(0, np.int64(-1)))
+
     def test_accepts_numpy_integers(self):
         params = small_params(K=np.int64(2), M=np.int32(3), seed=np.uint8(4),
                               stream_key=(np.int64(1), 2))
