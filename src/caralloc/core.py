@@ -41,83 +41,88 @@ class DimensionMismatchError(ValueError):
     """An allocation does not match the instance dimensions."""
 
 
-#: JSON name and accepted Python types of each scalar annotation.
-_JSON_SCALARS = {
-    "int": ("integer", (int,)),
-    "float": ("number", (int, float)),
-    "str": ("string", (str,)),
-    "bool": ("boolean", (bool,)),
-}
+#: How a message names one value, and many values, of each scalar annotation.
+_KINDS = {"int": ("an integer", "integers"), "float": ("a number", "numbers"), "str": ("a string", "strings"),
+          "bool": ("a boolean", "booleans"), "list": ("a list", "lists")}
 
 
-def _json_mismatch(annotation: str, value) -> Optional[str]:
-    """The JSON type a field annotated ``annotation`` takes, when ``value``
-    is not of that type; None when it is, or when :func:`check_document`
-    leaves the annotation alone. ``int``, ``float``, ``str`` and ``bool``
-    take a JSON integer, number, string or boolean (``true`` is only the
-    last), ``list`` a JSON array, and ``Tuple[...]`` a JSON array of the
-    tuple's length whose items all take the tuple's first item type (a tuple
-    too, from Python callers); ``Optional[...]`` also takes ``null``."""
+def _checked(annotation: str, value, name: str):
+    """``value`` as the field ``name`` annotated ``annotation`` stores it;
+    ValueError ``<name> must be <kind>, not <value!r>`` if it does not take it.
+
+    ``int`` takes a Python or numpy integer and stores an int; ``float``
+    that or a float within float range, stored as a float; ``bool`` a Python
+    or numpy bool, stored as a bool, and a bool is no other type. ``str``
+    takes a string and ``list`` a list or tuple, both as they are.
+    ``Tuple[...]`` takes a list or tuple of the tuple's length whose items,
+    named ``name[i]``, all take its first item type, and stores a tuple.
+    ``Optional[...]`` also takes None. Any other annotation is a class name
+    and takes only an object of a class of that name."""
     if annotation.startswith("Optional["):
-        if value is None:
-            return None
-        annotation = annotation[len("Optional[") : -1]
-    if annotation in _JSON_SCALARS:
-        name, types = _JSON_SCALARS[annotation]
-        typed = isinstance(value, types) and isinstance(value, bool) == (annotation == "bool")
-        return None if typed else f"JSON {name}"
-    if annotation == "list":
-        return None if isinstance(value, (list, tuple)) else "JSON array"
-    if not annotation.startswith("Tuple["):
-        return None
-    items = annotation[len("Tuple[") : -1].split(", ")
-    length = None if items[-1] == "..." else len(items)
-    expected = f"JSON array of {f'{length} ' if length else ''}{_JSON_SCALARS[items[0]][0]}s"
-    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
-        return expected
-    return expected if any(_json_mismatch(items[0], item) for item in value) else None
+        return None if value is None else _checked(annotation[len("Optional[") : -1], value, name)
+    if annotation.startswith("Tuple["):
+        items = annotation[len("Tuple[") : -1].split(", ")
+        length = None if items[-1] == "..." else len(items)
+        if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+            count = f"{length} " if length else ""
+            raise ValueError(f"{name} must be a list of {count}{_KINDS[items[0]][1]}, not {value!r}")
+        return tuple(_checked(items[0], item, f"{name}[{i}]") for i, item in enumerate(value))
+    boolean = isinstance(value, (bool, np.bool_))
+    if annotation == "bool" and boolean:
+        return bool(value)
+    if annotation == "int" and not boolean and isinstance(value, (int, np.integer)):
+        return int(value)
+    if annotation == "float" and not boolean and isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be a number within float range, not {value!r}") from None
+    if (annotation == "str" and isinstance(value, str)
+            or annotation == "list" and isinstance(value, (list, tuple))
+            or annotation not in _KINDS and type(value).__name__ == annotation):
+        return value
+    kind = _KINDS[annotation][0] if annotation in _KINDS else f"a {annotation}"
+    raise ValueError(f"{name} must be {kind}, not {value!r}")
+
+
+def check_fields(obj) -> None:
+    """Store :func:`_checked` of every field of the dataclass ``obj``: the one
+    type rule of every config, built in Python or read from JSON."""
+    for f in fields(obj):
+        object.__setattr__(obj, f.name, _checked(f.type, getattr(obj, f.name), f.name))
 
 
 def check_document(doc, spec, what: str) -> dict:
     """A copy of the parsed JSON ``doc``, after checking that it is an object
-    with no unknown key, every required one, and the JSON type each field's
-    annotation asks for (see :func:`_json_mismatch`); ValueError naming the
-    culprit if not. Every ``Tuple[...]`` field, ``Optional`` or not, holds a
-    tuple of its array's items. ``spec`` is a dict of keys, all required, to
-    annotations spelled as a dataclass spells them, or a dataclass, whose
-    fields without a default are required."""
+    with no unknown key and every required one; ValueError naming the
+    culprit if not. ``spec`` is a dataclass, whose fields without a default
+    are required and whose constructor checks the values, or a dict of keys,
+    all required, to annotations spelled as a dataclass spells them; the
+    copy then holds each value as :func:`_checked` returns it."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
-    known = required = annotations = spec
     if is_dataclass(spec):
-        annotations = {f.name: f.type for f in fields(spec)}
-        known = list(annotations)
-        required = [
-            f.name for f in fields(spec) if f.default is MISSING and f.default_factory is MISSING
-        ]
+        known = [f.name for f in fields(spec)]
+        required = [f.name for f in fields(spec) if f.default is MISSING and f.default_factory is MISSING]
+    else:
+        known = required = list(spec)
     unknown = set(doc) - set(known)
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
     missing = [name for name in required if name not in doc]
     if missing:
         raise ValueError(f"missing {what} fields: {missing}")
-    doc = dict(doc)
-    for name, annotation in annotations.items():
-        value = doc.get(name)
-        expected = _json_mismatch(annotation, value) if name in doc else None
-        if expected:
-            raise ValueError(f"{what} field {name!r} must be a {expected}, not {value!r}")
-        if "Tuple[" in annotation and value is not None:
-            doc[name] = tuple(value)
-    return doc
+    if is_dataclass(spec):
+        return dict(doc)
+    return {name: _checked(annotation, doc[name], name) for name, annotation in spec.items()}
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int when it is a Python or numpy integer; ValueError
-    naming ``name`` when it is anything else, a bool or a float included."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, not {value!r}")
-    return int(value)
+def _float_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array; ValueError naming ``name`` when they are not numbers within float range."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an array of numbers within float range ({exc})") from None
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -157,10 +162,10 @@ class ProblemInstance:
     system_cc_cap: int
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        phi = np.asarray(self.utilities, dtype=float)
+        w = _float_array(self.weights, "weights")
+        phi = _float_array(self.utilities, "utilities")
         caps = np.asarray(self.ue_cc_caps)
-        m0 = _integer(self.system_cc_cap, "system_cc_cap")
+        m0 = _checked("int", self.system_cc_cap, "system_cc_cap")
         if phi.ndim != 3 or 0 in phi.shape:
             raise ValueError(f"utilities must be a 3-D array with no empty axis, got shape {phi.shape}")
         K, M, _ = phi.shape

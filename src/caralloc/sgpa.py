@@ -56,8 +56,9 @@ from .core import (
     BinaryAllocation,
     ProblemInstance,
     RelaxedAllocation,
-    _integer,
+    _checked,
     check_document,
+    check_fields,
     evaluate_relaxed_wsu,
     evaluate_wsu,
     quantize,
@@ -87,7 +88,7 @@ ZERO_TOLERANCE = 1e-12
 CONVERGENCE_TOLERANCE = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class SgpaConfig:
     """Solver settings: the sweep budget and whether to record a per-sweep
     trace. The start (alpha = 1/K, beta row k = 1/M_k, gamma = 1/M0) and the
@@ -97,7 +98,7 @@ class SgpaConfig:
     record_trace: bool = False
 
     def __post_init__(self):
-        self.max_iterations = _integer(self.max_iterations, "max_iterations")
+        check_fields(self)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -135,7 +136,7 @@ def capped_simplex_normalize(v, cap: int) -> NormalizationSolution:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("scores must be a nonempty 1-D array")
-    cap = _integer(cap, "cap")
+    cap = _checked("int", cap, "cap")
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if cap > v.size:

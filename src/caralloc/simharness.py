@@ -27,7 +27,7 @@ from .baselines import (
     greedy_unconstrained,
     heuristic_run,
 )
-from .core import BinaryAllocation, ProblemInstance, _integer, check_document, evaluate_wsu
+from .core import BinaryAllocation, ProblemInstance, _checked, check_document, check_fields, evaluate_wsu
 from .sgpa import IterationRecord, SgpaConfig, _snap, capped_simplex_normalize, solve
 
 __all__ = [
@@ -116,9 +116,9 @@ class GenParams:
     ``min(M, system_cc_cap_limit)``, so the limit may exceed the carrier
     count. SNRs are drawn uniformly in dB, channel gains are unit-mean
     exponential, and each block utility is the normalized link capacity of
-    its channel. Every count (K, M, N, both caps, the seed and each
-    ``stream_key`` item) is a Python or numpy integer, and the seed and each
-    ``stream_key`` item are >= 0; ValueError naming the field otherwise.
+    its channel. Every field takes what :func:`~caralloc.core.check_fields`
+    lets its annotation take, and the seed and each ``stream_key`` item are
+    >= 0; ValueError naming the field otherwise.
     """
 
     K: int
@@ -132,10 +132,7 @@ class GenParams:
     stream_key: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        for name in ("K", "M", "N", "ue_cc_cap", "system_cc_cap_limit", "seed"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        key = tuple(_integer(item, f"stream_key[{i}]") for i, item in enumerate(self.stream_key))
-        object.__setattr__(self, "stream_key", key)
+        check_fields(self)
         if self.K < 2 or self.M < 2 or self.N < 2:
             raise ValueError("generated instances need K >= 2, M >= 2, N >= 2")
         if not 1 <= self.ue_cc_cap <= self.M:
@@ -207,8 +204,9 @@ class SweepConfig:
     defaulting to the template's single value), walked M-major, and every
     point is checked when the config is built. Trial t of grid point g draws
     its instance from stream (base_seed, g, t); all algorithms see the same
-    instance. ``trials``, ``base_seed``, ``jobs`` and every grid item are
-    Python or numpy integers; ValueError naming the field otherwise.
+    instance. Every field takes what :func:`~caralloc.core.check_fields`
+    lets its annotation take, and ``sgpa`` records no trace (a sweep keeps
+    none); ValueError naming the field otherwise.
     """
 
     algorithms: Tuple[str, ...]
@@ -221,13 +219,9 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        for name in ("trials", "base_seed", "jobs"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        for name in ("m_grid", "mk_grid"):
-            grid = getattr(self, name)
-            if grid is not None:
-                grid = tuple(_integer(item, f"{name}[{i}]") for i, item in enumerate(grid))
-                object.__setattr__(self, name, grid)
+        check_fields(self)
+        if self.sgpa.record_trace:
+            raise ValueError("sgpa.record_trace must be false: a sweep keeps no trace")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.jobs < 1:
@@ -258,8 +252,8 @@ class SweepConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepConfig":
-        """The config of a parsed JSON document; like a malformed field, one
-        that the sweep overrides or whose output it drops is a ValueError."""
+        """The config of a parsed JSON document; like a malformed field, a
+        ``gen`` seed or stream key (the sweep sets both) is a ValueError."""
         doc = check_document(doc, cls, "sweep config")
         gen, doc["gen"] = doc["gen"], GenParams.from_dict(doc["gen"])
         for name in ("seed", "stream_key"):
@@ -267,8 +261,6 @@ class SweepConfig:
                 raise ValueError(f"sweep config field 'gen.{name}' is set by the sweep")
         if "sgpa" in doc:
             doc["sgpa"] = SgpaConfig.from_dict(doc["sgpa"])
-            if doc["sgpa"].record_trace:
-                raise ValueError("sweep config field 'sgpa.record_trace' must be false")
         return cls(**doc)
 
     @classmethod
@@ -436,8 +428,8 @@ def fig1_experiment(M: int, M_k: int, iterations: int, seed: int) -> np.ndarray:
     none of ``FIG1_MAX_DRAWS`` draws does (the chance of a passing draw falls
     exponentially as M grows at M_k = M / 2).
     """
-    M, M_k = _integer(M, "M"), _integer(M_k, "M_k")
-    iterations, seed = _integer(iterations, "iterations"), _integer(seed, "seed")
+    M, M_k = _checked("int", M, "M"), _checked("int", M_k, "M_k")
+    iterations, seed = _checked("int", iterations, "iterations"), _checked("int", seed, "seed")
     if not M >= M_k >= 1:
         raise ValueError("need M >= M_k >= 1")
     if iterations < 0:

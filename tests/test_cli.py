@@ -243,7 +243,7 @@ class TestSolve:
             path.write_text(json.dumps({**doc, name: value}))
             code, _, err = run(capsys, "solve", "--instance", str(path))
             assert code == 2
-            assert f"{name!r} must be a JSON integer" in err
+            assert f"{name} must be an integer, not {value!r}" in err
 
     def test_dimension_fields_that_disagree_with_phi_exit_2(self, tmp_path, capsys):
         doc = json.loads(write_instance(tmp_path, capsys).read_text())
@@ -259,16 +259,16 @@ class TestSolve:
         doc = json.loads(write_instance(tmp_path, capsys).read_text())
         assert doc["K"] == 2
         for name, value, expected in (
-            ("Mk", [1.7, 2.9], "JSON array of integers"),
-            ("Mk", [True, 1], "JSON array of integers"),
-            ("weights", ["1", 1.0], "JSON array of numbers"),
-            ("weights", [True, 1.0], "JSON array of numbers"),
+            ("Mk", [1.7, 2.9], "[0] must be an integer, not 1.7"),
+            ("Mk", [True, 1], "[0] must be an integer, not True"),
+            ("weights", ["1", 1.0], "[0] must be a number, not '1'"),
+            ("weights", [True, 1.0], "[0] must be a number, not True"),
         ):
             path = tmp_path / "broken.json"
             path.write_text(json.dumps({**doc, name: value}))
             code, _, err = run(capsys, "solve", "--instance", str(path))
             assert code == 2
-            assert f"{name!r} must be a {expected}" in err
+            assert f"{name}{expected}" in err
 
     def test_non_number_utility_items_exit_2(self, tmp_path, capsys):
         doc = json.loads(write_instance(tmp_path, capsys).read_text())
@@ -284,6 +284,20 @@ class TestSolve:
         path.write_text(json.dumps({**doc, "phi": [[[1, 0]] * 3] * 2}))
         code, _, err = run(capsys, "solve", "--instance", str(path))
         assert code == 0, err
+
+    def test_numbers_beyond_float_range_exit_2(self, tmp_path, capsys):
+        doc = json.loads(write_instance(tmp_path, capsys).read_text())
+        phi = json.loads(json.dumps(doc["phi"]))
+        phi[1][2][0] = 10**400
+        for broken, expected in (
+            ({**doc, "weights": [1.0, 10**400]}, "weights[1] must be a number within float range"),
+            ({**doc, "phi": phi}, "utilities must be an array of numbers within float range"),
+        ):
+            path = tmp_path / "broken.json"
+            path.write_text(json.dumps(broken))
+            code, out, err = run(capsys, "solve", "--instance", str(path))
+            assert (code, out) == (2, "")
+            assert expected in err and "Traceback" not in err
 
     @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
     def test_infinite_weight_exits_2(self, tmp_path, capsys, algorithm):
@@ -441,6 +455,16 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--config", str(config_path), "-o", str(tmp_path / "o.csv"))
         assert code == 2
 
+    def test_snr_range_beyond_float_range_exits_2(self, tmp_path, capsys):
+        gen = {"K": 2, "M": 3, "N": 2, "ue_cc_cap": 1, "system_cc_cap_limit": 2,
+               "snr_db_range": [0, 10**400]}
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps({"algorithms": ["sgpa"], "gen": gen, "trials": 1, "base_seed": 3}))
+        code, _, err = run(capsys, "sweep", "--config", str(config_path), "-o", str(tmp_path / "o.csv"))
+        assert code == 2
+        assert "snr_db_range[1] must be a number within float range" in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["sweep", "--bogus"]) == 2
 
@@ -473,16 +497,16 @@ class TestSweep:
             ({**config, "gen": {**gen, "K": "2"}}, ["K"]),
             ({**config, "gen": {**gen, "ue_cc_cap": [1, 2]}}, ["ue_cc_cap"]),
             ({**config, "sgpa": {"snap_tolerance": "tiny"}}, ["snap_tolerance"]),
-            ({**config, "sgpa": {"record_trace": "no"}}, ["'record_trace' must be a JSON boolean"]),
-            ({**config, "m_grid": 3}, ["'m_grid' must be a JSON array of integers"]),
-            ({**config, "m_grid": [[3]]}, ["'m_grid' must be a JSON array of integers"]),
-            ({**config, "mk_grid": 3}, ["'mk_grid' must be a JSON array of integers"]),
-            ({**config, "gen": {**gen, "snr_db_range": 5}}, ["'snr_db_range' must be a JSON array"]),
-            ({**config, "gen": {**gen, "snr_db_range": [1]}}, ["'snr_db_range' must be a JSON array"]),
+            ({**config, "sgpa": {"record_trace": "no"}}, ["record_trace must be a boolean, not 'no'"]),
+            ({**config, "m_grid": 3}, ["m_grid must be a list of integers, not 3"]),
+            ({**config, "m_grid": [[3]]}, ["m_grid[0] must be an integer, not [3]"]),
+            ({**config, "mk_grid": 3}, ["mk_grid must be a list of integers, not 3"]),
+            ({**config, "gen": {**gen, "snr_db_range": 5}}, ["snr_db_range must be a list of 2 numbers"]),
+            ({**config, "gen": {**gen, "snr_db_range": [1]}}, ["snr_db_range must be a list of 2 numbers"]),
             ({**config, "gen": {**gen, "seed": 1}}, ["'gen.seed'"]),
             ({**config, "gen": {**gen, "seed": 999, "stream_key": [7, 7]}}, ["'gen.seed'"]),
             ({**config, "gen": {**gen, "stream_key": [7, 7]}}, ["'gen.stream_key'"]),
-            ({**config, "sgpa": {"record_trace": True}}, ["'sgpa.record_trace'"]),
+            ({**config, "sgpa": {"record_trace": True}}, ["sgpa.record_trace must be false"]),
             ({**config, "m_grid": [3, 4, 1]}, ["m_grid", "M=1"]),
             ({**config, "mk_grid": [1, 4]}, ["mk_grid", "Mk=4"]),
             ({**config, "algorithms": []}, ["algorithms"]),

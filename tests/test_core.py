@@ -88,6 +88,14 @@ class TestProblemInstance:
         with pytest.raises(ValueError, match=f"{field} must be"):
             ProblemInstance(np.ones(2), np.ones((2, 3, 1)), caps, m0)
 
+    @pytest.mark.parametrize("weights, phi, field", [
+        ([10**400], [[[1.0]]], "weights"), ([1.0], [[[10**400]]], "utilities"),
+        (["x"], [[[1.0]]], "weights"), ([1.0], [[[1.0], [1.0, 2.0]]], "utilities"),
+    ])
+    def test_rejects_values_that_are_not_numbers_within_float_range(self, weights, phi, field):
+        with pytest.raises(ValueError, match=f"{field} must be an array of numbers within float range"):
+            ProblemInstance(weights, phi, [1], 1)
+
     def test_accepts_numpy_integer_caps(self):
         for caps in (np.array([1, 2], dtype=np.int32), np.array([1, 2], dtype=np.uint8),
                      [np.int64(1), np.int16(2)]):

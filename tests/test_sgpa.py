@@ -54,6 +54,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="max_iterations must be an integer"):
             SgpaConfig(max_iterations=value)
 
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_rejects_a_record_trace_that_is_not_a_boolean(self, value):
+        with pytest.raises(ValueError, match=f"record_trace must be a boolean, not {value!r}"):
+            SgpaConfig(record_trace=value)
+
+    def test_is_frozen_and_hashable(self):
+        cfg = SgpaConfig(record_trace=np.bool_(True))
+        assert cfg.record_trace is True and hash(cfg) == hash(SgpaConfig(record_trace=True))
+        with pytest.raises(AttributeError):
+            cfg.max_iterations = 0
+
     def test_accepts_numpy_integers(self):
         cfg = SgpaConfig(max_iterations=np.int64(3))
         assert cfg.max_iterations == 3 and type(cfg.max_iterations) is int

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from caralloc import simharness
+from caralloc import core, simharness
 from caralloc.core import ProblemInstance, evaluate_wsu, top_cap_indicator
 from caralloc.sgpa import IterationRecord, SgpaConfig
 from caralloc.simharness import (
@@ -78,6 +78,21 @@ class TestGenParams:
                               stream_key=(np.int64(1), 2))
         assert params == small_params(K=2, M=3, seed=4, stream_key=(1, 2))
         assert type(params.K) is int and type(params.stream_key[0]) is int
+
+    def test_snr_range_list_is_stored_as_a_hashable_tuple(self):
+        params = small_params(snr_db_range=[-10.0, 20.0])
+        assert params.snr_db_range == (-10.0, 20.0) and type(params.snr_db_range) is tuple
+        assert hash(params) == hash(small_params(snr_db_range=(-10.0, 20.0)))
+
+    @pytest.mark.parametrize("snr_db_range, message", [
+        (("a", "b"), r"snr_db_range\[0\] must be a number, not 'a'"),
+        ((0.0, True), r"snr_db_range\[1\] must be a number, not True"),
+        ((0.0, 10**400), r"snr_db_range\[1\] must be a number within float range"),
+        ((0.0,), r"snr_db_range must be a list of 2 numbers"),
+    ])
+    def test_rejects_snr_ranges_that_are_not_two_numbers(self, snr_db_range, message):
+        with pytest.raises(ValueError, match=message):
+            small_params(snr_db_range=snr_db_range)
 
     def test_snr_bound_keeps_utilities_finite(self):
         params = small_params(K=10, M=10, N=20, snr_db_range=(-1000.0, 1000.0))
@@ -373,6 +388,24 @@ class TestRunSweep:
         assert (config.trials, config.base_seed, config.m_grid, config.jobs) == (2, 0, (3,), 1)
         assert type(config.trials) is int and type(config.m_grid[0]) is int
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("m_grid", 3, "m_grid must be a list of integers, not 3"),
+        ("algorithms", (["sgpa"],), "algorithms[0] must be a string, not ['sgpa']"),
+        ("gen", {"K": 2}, "gen must be a GenParams, not {'K': 2}"),
+        ("sgpa", {"max_iterations": 3}, "sgpa must be a SgpaConfig, not {'max_iterations': 3}"),
+        ("sgpa", SgpaConfig(record_trace=True), "sgpa.record_trace must be false"),
+    ])
+    def test_rejects_fields_of_the_wrong_type(self, name, value, message):
+        fields_ = {"algorithms": ("sgpa",), "gen": small_params(), "trials": 1, "base_seed": 0}
+        with pytest.raises(ValueError) as raised:
+            SweepConfig(**{**fields_, name: value})
+        assert str(raised.value).startswith(message)
+
+    def test_config_is_hashable(self):
+        config = SweepConfig(algorithms=["sgpa"], gen=small_params(), trials=1, base_seed=0)
+        same = SweepConfig(algorithms=("sgpa",), gen=small_params(), trials=1, base_seed=0)
+        assert config.algorithms == ("sgpa",) and hash(config) == hash(same)
+
     def test_readme_sweep_configs_load(self):
         # Every ```json block in README.md is a sweep config.
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -435,3 +468,49 @@ class TestFig1Experiment:
         np.testing.assert_array_equal(
             fig1_experiment(12, 2, 40, seed=9), fig1_experiment(12, 2, 40, seed=9)
         )
+
+
+class TestOneTypeRule:
+    """Every config field passes one rule, whether built in Python or read from JSON."""
+
+    GEN = {"K": 2, "M": 3, "N": 2, "ue_cc_cap": 1, "system_cc_cap_limit": 2}
+    SWEEP = {"algorithms": ["sgpa"], "trials": 1, "base_seed": 0}
+
+    @pytest.mark.parametrize("cls, doc, name, value", [
+        (SgpaConfig, {}, "max_iterations", 2.5),
+        (SgpaConfig, {}, "max_iterations", True),
+        (SgpaConfig, {}, "record_trace", "no"),
+        (SgpaConfig, {}, "record_trace", 1),
+        (GenParams, GEN, "K", "2"),
+        (GenParams, GEN, "snr_db_range", [0, "10"]),
+        (GenParams, GEN, "snr_db_range", [0, 10**400]),
+        (GenParams, GEN, "snr_db_range", 5),
+        (GenParams, GEN, "weight_mode", 1),
+        (GenParams, GEN, "stream_key", [0, 1.0]),
+        (SweepConfig, SWEEP, "trials", "1"),
+        (SweepConfig, SWEEP, "jobs", 2.0),
+        (SweepConfig, SWEEP, "m_grid", 3),
+        (SweepConfig, SWEEP, "mk_grid", [[1]]),
+        (SweepConfig, SWEEP, "algorithms", [["sgpa"]]),
+    ])
+    def test_python_and_json_give_the_same_message(self, cls, doc, name, value):
+        built = {**doc, "gen": small_params()} if cls is SweepConfig else dict(doc)
+        read = {**doc, "gen": self.GEN} if cls is SweepConfig else dict(doc)
+        with pytest.raises(ValueError) as from_python:
+            cls(**{**built, name: value})
+        with pytest.raises(ValueError) as from_json:
+            cls.from_dict({**read, name: value})
+        assert str(from_python.value) == str(from_json.value)
+        assert str(from_python.value).startswith(name)
+
+    def test_every_field_annotation_is_one_the_rule_knows(self):
+        scalars = set(core._KINDS)
+        for cls in (SgpaConfig, GenParams, SweepConfig):
+            for field in fields(cls):
+                annotation = re.sub(r"^Optional\[(.*)\]$", r"\1", field.type)
+                items = re.fullmatch(r"Tuple\[(.*)\]", annotation)
+                if items:
+                    first, *rest = items.group(1).split(", ")
+                    assert first in scalars and set(rest) <= {first, "..."}, (cls, field.name)
+                else:
+                    assert annotation in scalars | {"GenParams", "SgpaConfig"}, (cls, field.name)
