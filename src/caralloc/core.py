@@ -278,17 +278,16 @@ class RelaxedAllocation:
     gamma: np.ndarray
 
     def __post_init__(self):
-        alpha = np.array(self.alpha, dtype=float)
-        beta = np.array(self.beta, dtype=float)
-        gamma = np.array(self.gamma, dtype=float)
-        _check_shapes(alpha, beta, gamma)
-        for name, arr in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        names = ("alpha", "beta", "gamma")
+        arrays = [np.array(_float_array(getattr(self, name), name)) for name in names]  # a copy, even of floats
+        _check_shapes(*arrays)
+        for name, arr in zip(names, arrays):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
             if arr.size and (arr.min() < -1e-9 or arr.max() > 1 + 1e-9):
                 raise ValueError(f"{name} values must lie in [0, 1]")
             np.clip(arr, 0.0, 1.0, out=arr)
-        self.alpha, self.beta, self.gamma = alpha, beta, gamma
+        self.alpha, self.beta, self.gamma = arrays
 
 
 @dataclass
@@ -319,7 +318,8 @@ class BinaryAllocation:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Per-constraint verdicts with the first violating index of each kind.
+    """The first violating index of each hard constraint, None where it
+    holds; each verdict (``c1_ok`` ... ``ok``) is read off the violations.
 
     * c1: at most one user per resource block,
     * c2: per-user carrier count within its cap,
@@ -327,22 +327,22 @@ class FeasibilityReport:
     * consistency: a held block implies carrier admission and activation.
     """
 
-    c1_ok: bool
-    c2_ok: bool
-    c3_ok: bool
-    consistency_ok: bool
     c1_violation: Optional[tuple] = None  # (m, n)
     c2_violation: Optional[int] = None  # k
     c3_violation: Optional[int] = None  # first active carrier beyond the cap
     consistency_violation: Optional[tuple] = None  # (k, m, n)
 
-    @property
-    def ok(self) -> bool:
-        return self.c1_ok and self.c2_ok and self.c3_ok and self.consistency_ok
+    c1_ok = property(lambda self: self.c1_violation is None)
+    c2_ok = property(lambda self: self.c2_violation is None)
+    c3_ok = property(lambda self: self.c3_violation is None)
+    consistency_ok = property(lambda self: self.consistency_violation is None)
+    ok = property(lambda self: self.c1_ok and self.c2_ok and self.c3_ok and self.consistency_ok)
 
     def to_dict(self) -> dict:
-        """``feasible`` (:attr:`ok`), then every field in declaration order."""
-        return {"feasible": self.ok, **asdict(self)}
+        """``feasible`` (:attr:`ok`), each ``*_ok`` verdict, then each violation, in constraint order."""
+        violations = asdict(self)
+        verdicts = {name.replace("violation", "ok"): index is None for name, index in violations.items()}
+        return {"feasible": self.ok, **verdicts, **violations}
 
 
 def _require_dims(instance: ProblemInstance, alloc) -> None:
@@ -381,40 +381,25 @@ def evaluate_relaxed_wsu(instance: ProblemInstance, alloc: RelaxedAllocation) ->
     )
 
 
+def _first(mask: np.ndarray):
+    """Index of ``mask``'s first True in C order (an int for 1-D, else a tuple), None if none."""
+    flat = int(mask.argmax())
+    if not mask.flat[flat]:
+        return None
+    if mask.ndim == 1:
+        return flat
+    return tuple(map(int, np.unravel_index(flat, mask.shape)))
+
+
 def check_feasibility(instance: ProblemInstance, alloc: BinaryAllocation) -> FeasibilityReport:
     """Check the hard constraints; never raises on violation, reports instead."""
     _require_dims(instance, alloc)
-
-    col_load = alloc.alpha.sum(axis=0)  # (M, N)
-    c1_bad = np.argwhere(col_load > 1)
-    c1_ok = c1_bad.size == 0
-    c1_violation = tuple(int(i) for i in c1_bad[0]) if not c1_ok else None
-
-    cc_counts = alloc.beta.sum(axis=1)
-    c2_bad = np.flatnonzero(cc_counts > instance.ue_cc_caps)
-    c2_ok = c2_bad.size == 0
-    c2_violation = int(c2_bad[0]) if not c2_ok else None
-
-    active = np.flatnonzero(alloc.gamma == 1)
-    c3_ok = active.size <= instance.system_cc_cap
-    c3_violation = int(active[instance.system_cc_cap]) if not c3_ok else None
-
-    broken_chain = (alloc.alpha == 1) & (
-        (alloc.beta[:, :, None] == 0) | (alloc.gamma[None, :, None] == 0)
-    )
-    cons_bad = np.argwhere(broken_chain)
-    consistency_ok = cons_bad.size == 0
-    consistency_violation = tuple(int(i) for i in cons_bad[0]) if not consistency_ok else None
-
+    alpha, beta, gamma = alloc.alpha, alloc.beta, alloc.gamma
     return FeasibilityReport(
-        c1_ok=c1_ok,
-        c2_ok=c2_ok,
-        c3_ok=c3_ok,
-        consistency_ok=consistency_ok,
-        c1_violation=c1_violation,
-        c2_violation=c2_violation,
-        c3_violation=c3_violation,
-        consistency_violation=consistency_violation,
+        c1_violation=_first(alpha.sum(axis=0) > 1),
+        c2_violation=_first(beta.sum(axis=1) > instance.ue_cc_caps),
+        c3_violation=_first(gamma.cumsum() > instance.system_cc_cap),
+        consistency_violation=_first(alpha > (beta[:, :, None] & gamma[None, :, None])),
     )
 
 
@@ -428,7 +413,7 @@ def top_cap_indicator(values: np.ndarray, cap) -> np.ndarray:
     broken toward the lowest index (stable sort), so the result is invariant
     under any strictly increasing transform of ``values``.
     """
-    values = np.asarray(values, dtype=float)
+    values = _float_array(values, "values")
     caps = np.asarray(cap)
     if caps.dtype.kind not in "iu" or (caps < 0).any():
         raise ValueError(f"cap must be a nonnegative integer or integer array, not {cap!r}")

@@ -29,6 +29,8 @@ from enum import Enum
 
 import numpy as np
 
+from .core import _float_array
+
 __all__ = ["LpStatus", "LinearProgram", "LpSolution", "solve_lp"]
 
 PIVOT_TOL = 1e-9
@@ -56,10 +58,10 @@ class LinearProgram:
     variable_bounds: np.ndarray  # (n, 2) columns: lower, upper
 
     def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
-        A = np.asarray(self.constraint_matrix, dtype=float)
-        b = np.asarray(self.constraint_rhs, dtype=float)
-        bounds = np.asarray(self.variable_bounds, dtype=float)
+        c = _float_array(self.objective, "objective")
+        A = _float_array(self.constraint_matrix, "constraint_matrix")
+        b = _float_array(self.constraint_rhs, "constraint_rhs")
+        bounds = _float_array(self.variable_bounds, "variable_bounds")
         if c.ndim != 1:
             raise ValueError("objective must be 1-D")
         n = c.size
@@ -128,8 +130,6 @@ class _Tableau:
     def run(self, c_all: np.ndarray) -> None:
         """Iterate to optimality for the given objective."""
         rc = self.reduced_costs(c_all)
-        eligible = np.ones(self.T.shape[1], dtype=bool)  # nonbasic
-        eligible[self.basis] = False
         max_pivots = _MAX_PIVOTS_BASE + 50 * (self.T.shape[1] + self.m)
         degenerate = 0  # degenerate pivots since the last step that made progress
 
@@ -137,8 +137,11 @@ class _Tableau:
             if step and step % _RC_REFRESH_PERIOD == 0:
                 rc = self.reduced_costs(c_all)
 
+            # Only nonbasic columns can improve: a basic column's reduced cost is exactly 0. The slacks start
+            # at 0, a pivot scales its entry to exactly 1.0 and so zeroes it, later pivot rows hold +-0 there,
+            # and basic columns stay exact unit vectors, so the periodic refresh gives exact zeros too.
             gain = np.where(self.at_upper, -rc, rc)
-            improving = eligible & (gain > PIVOT_TOL)
+            improving = gain > PIVOT_TOL
             if degenerate < _DEGENERATE_LIMIT:
                 enter = int(np.where(improving, gain, 0.0).argmax())
             else:
@@ -190,8 +193,6 @@ class _Tableau:
             self.basis[leave_row] = enter
             self.x_basic[leave_row] = entering_value
             self.at_upper[leaving] = leaves_at_upper
-            eligible[leaving] = True
-            eligible[enter] = False
 
         raise RuntimeError("simplex exceeded its pivot budget")
 

@@ -57,6 +57,7 @@ from .core import (
     ProblemInstance,
     RelaxedAllocation,
     _checked,
+    _float_array,
     check_document,
     check_fields,
     evaluate_relaxed_wsu,
@@ -133,7 +134,7 @@ def capped_simplex_normalize(v, cap: int) -> NormalizationSolution:
     hands one row to :func:`_normalize_rows`, which the solver's updates
     call directly.
     """
-    v = np.asarray(v, dtype=float)
+    v = _float_array(v, "scores")
     if v.ndim != 1 or v.size == 0:
         raise ValueError("scores must be a nonempty 1-D array")
     cap = _checked("int", cap, "cap")

@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -27,7 +26,7 @@ from .baselines import (
     greedy_unconstrained,
     heuristic_run,
 )
-from .core import BinaryAllocation, ProblemInstance, _checked, check_document, check_fields, evaluate_wsu
+from .core import BinaryAllocation, ProblemInstance, _checked, _float_array, check_document, check_fields, evaluate_wsu
 from .sgpa import IterationRecord, SgpaConfig, _snap, capped_simplex_normalize, solve
 
 __all__ = [
@@ -167,8 +166,8 @@ def capacity_utilities(gains: np.ndarray, snr_db: np.ndarray, num_rbs: int) -> n
     ``gains`` is (K, M, N); ``snr_db`` is (K, M) and shared by all blocks of
     a carrier (or any shape broadcastable against the gains).
     """
-    gains = np.asarray(gains, dtype=float)
-    snr_db = np.asarray(snr_db, dtype=float)
+    gains = _float_array(gains, "gains")
+    snr_db = _float_array(snr_db, "snr_db")
     if snr_db.ndim == 2 and gains.ndim == 3:
         snr_db = snr_db[:, :, None]
     snr_linear = 10.0 ** (snr_db / 10.0)
@@ -280,12 +279,16 @@ class ResultRow:
     stderr_wsu: float
     mean_solve_seconds: float
     above_oracle: Optional[int] = None
-    skipped: bool = False
     skip_reason: str = ""
 
+    @property
+    def skipped(self) -> bool:
+        """The row ran no trial: ``skip_reason`` says why."""
+        return self.skip_reason != ""
 
-#: The sweep CSV's columns: every :class:`ResultRow` field but the skip marks.
-CSV_HEADER = [f.name for f in fields(ResultRow) if f.name not in ("skipped", "skip_reason")]
+
+#: The sweep CSV's columns: every :class:`ResultRow` field but the skip reason.
+CSV_HEADER = [f.name for f in fields(ResultRow) if f.name != "skip_reason"]
 
 
 def _run_trial(args) -> dict:
@@ -340,6 +343,8 @@ def run_sweep(config: SweepConfig) -> List[ResultRow]:
     # pool is sized to the work and the usable CPUs, not to the request alone.
     workers = min(config.jobs, len(tasks), _usable_cpus())
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: importing caralloc loads no multiprocessing
+
         # One trial per task: trial cost grows along the grid, so larger
         # chunks would leave one worker running the heaviest ones alone.
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -376,7 +381,7 @@ def run_sweep(config: SweepConfig) -> List[ResultRow]:
                 )
             )
         nan = float("nan")
-        rows.extend(ResultRow(name, m, mk, m0, 0, nan, nan, nan, skipped=True, skip_reason=reason)
+        rows.extend(ResultRow(name, m, mk, m0, 0, nan, nan, nan, skip_reason=reason)
                     for name, reason in skips.items())
     return rows
 

@@ -9,7 +9,8 @@ LP has a reference formulation with explicit product variables, the
 exhaustive oracle has a reference that walks every carrier set of every
 size, the exact optimum beyond the oracle's reach comes from an integer
 program solved by scipy's HiGHS, and the solver's rounding is compared with the former rule that gave
-each block to the admitted user with the largest relaxed share. It also
+each block to the admitted user with the largest relaxed share, and the
+feasibility check has a loop that walks every index in turn. It also
 holds the small builders and measures that several test modules share.
 """
 
@@ -280,6 +281,22 @@ def _membership_stack(caps, size):
         per_ue.append(np.array(masks).reshape(len(masks), size))
     picks = np.indices([len(masks) for masks in per_ue]).reshape(len(per_ue), -1)
     return np.stack([masks[pick] for masks, pick in zip(per_ue, picks)], axis=1)
+
+
+def reference_feasibility(instance, alloc):
+    """The first violation of each hard constraint, None where it holds:
+    ``(c1, c2, c3, consistency)`` as :class:`caralloc.core.FeasibilityReport`
+    defines them, found by walking blocks, users and carriers one at a time
+    in C order."""
+    K, M, N = alloc.alpha.shape
+    c1 = next(((m, n) for m in range(M) for n in range(N)
+               if sum(int(alloc.alpha[k, m, n]) for k in range(K)) > 1), None)
+    c2 = next((k for k in range(K) if sum(int(b) for b in alloc.beta[k]) > instance.ue_cc_caps[k]), None)
+    active = [m for m in range(M) if alloc.gamma[m] == 1]
+    c3 = active[instance.system_cc_cap] if len(active) > instance.system_cc_cap else None
+    consistency = next(((k, m, n) for k in range(K) for m in range(M) for n in range(N)
+                        if alloc.alpha[k, m, n] == 1 and not (alloc.beta[k, m] == 1 and alloc.gamma[m] == 1)), None)
+    return c1, c2, c3, consistency
 
 
 def alpha_rounding(instance, relaxed):

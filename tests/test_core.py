@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from caralloc.baselines import greedy_unconstrained
 from caralloc.core import (
     BinaryAllocation,
     DimensionMismatchError,
@@ -17,6 +18,11 @@ from caralloc.core import (
     round_allocation,
     top_cap_indicator,
 )
+from caralloc.lp import LinearProgram
+from caralloc.sgpa import capped_simplex_normalize
+from caralloc.simharness import capacity_utilities
+
+from helpers import reference_feasibility
 
 
 def full_binary(instance):
@@ -119,6 +125,29 @@ class TestProblemInstance:
         assert inst.to_json() == back.to_json()
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: RelaxedAllocation([[[10**400]]], [[1.0]], [1.0]), "alpha"),
+    (lambda: RelaxedAllocation([[[1.0]]], [["x"]], [1.0]), "beta"),
+    (lambda: RelaxedAllocation([[[1.0]]], [[1.0]], [[1.0], [1.0, 2.0]]), "gamma"),
+    (lambda: capped_simplex_normalize([10**400, 1.0], 1), "scores"),
+    (lambda: capped_simplex_normalize(["x", 1.0], 1), "scores"),
+    (lambda: top_cap_indicator([10**400, 1.0], 1), "values"),
+    (lambda: top_cap_indicator(["x", 1.0], 1), "values"),
+    (lambda: LinearProgram([10**400], [[1.0]], [1.0], [[0.0, 1.0]]), "objective"),
+    (lambda: LinearProgram([1.0], [["x"]], [1.0], [[0.0, 1.0]]), "constraint_matrix"),
+    (lambda: LinearProgram([1.0], [[1.0]], [10**400], [[0.0, 1.0]]), "constraint_rhs"),
+    (lambda: LinearProgram([1.0], [[1.0]], [1.0], [[0.0, 1.0], [0.0]]), "variable_bounds"),
+    (lambda: capacity_utilities([[[10**400]]], [[1.0]], 1), "gains"),
+    (lambda: capacity_utilities([[[1.0]]], [["x"]], 1), "snr_db"),
+], ids=lambda value: value if isinstance(value, str) else "call")
+def test_every_float_array_argument_is_named_when_not_numbers(build, field):
+    # The rule of ProblemInstance's arrays: an integer beyond float range, a
+    # string or a ragged list is a ValueError naming the argument, not an
+    # OverflowError or numpy's own message.
+    with pytest.raises(ValueError, match=f"{field} must be an array of numbers within float range"):
+        build()
+
+
 class TestEvaluateWsu:
     def test_single_entry(self):
         inst = ProblemInstance([1.0], [[[2.5]]], [1], 1)
@@ -209,6 +238,38 @@ class TestCheckFeasibility:
         report = check_feasibility(inst, alloc)
         assert not report.consistency_ok
         assert report.consistency_violation == (0, 1, 1)
+
+    def test_matches_a_loop_reference(self):
+        # Random 0/1 arrays, greedy allocations under tight caps, and rounded
+        # allocations with flipped entries (broken chains, shared blocks).
+        rng = np.random.default_rng(43)
+        held, broken = np.zeros(4, dtype=int), np.zeros(4, dtype=int)
+        for trial in range(600):
+            K, M, N = (int(d) for d in rng.integers(1, 6, size=3))
+            tight = trial % 3 == 1
+            caps = np.ones(K, dtype=int) if tight else rng.integers(1, M + 1, K)
+            inst = ProblemInstance(rng.uniform(0.5, 2.0, K), rng.uniform(0.0, 1.0, (K, M, N)), caps,
+                                   1 if tight else int(rng.integers(1, M + 1)))
+            if trial % 3 == 0:
+                density = rng.uniform(0.05, 0.6)
+                alloc = BinaryAllocation(*(rng.uniform(size=shape) < density for shape in ((K, M, N), (K, M), M)))
+            elif tight:
+                alloc = greedy_unconstrained(inst)
+            else:
+                alloc = round_allocation(inst, rng.uniform(size=(K, M)), rng.uniform(size=M))
+                for arr in (alloc.alpha, alloc.beta, alloc.gamma):
+                    flips = rng.uniform(size=arr.shape) < 0.1
+                    arr[flips] = 1 - arr[flips]
+            report = check_feasibility(inst, alloc)
+            violations = (report.c1_violation, report.c2_violation, report.c3_violation,
+                          report.consistency_violation)
+            assert violations == reference_feasibility(inst, alloc)
+            verdicts = (report.c1_ok, report.c2_ok, report.c3_ok, report.consistency_ok)
+            assert verdicts == tuple(v is None for v in violations) and report.ok == all(verdicts)
+            assert json.loads(json.dumps(report.to_dict()))["feasible"] == report.ok
+            held += np.array(verdicts)
+            broken += ~np.array(verdicts)
+        assert held.min() >= 100 and broken.min() >= 100, (held, broken)
 
 
 class TestTopCapIndicator:

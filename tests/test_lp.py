@@ -1,5 +1,7 @@
 """The dense bounded-variable simplex."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -10,6 +12,12 @@ from caralloc.lp import LinearProgram, LpSolution, LpStatus, solve_lp
 from caralloc.simharness import GenParams, sample_instance
 
 from helpers import enumerate_lp_optimum, three_block_carrier_selection_lp
+from test_golden import CASES, case_instance
+
+#: sha256 prefix of every :func:`pivot_pin_lps` solve's ``x`` bytes, ``repr``
+#: of its objective value, pivots and bound flips. A change of entering or
+#: leaving rule that reached the same vertex by another path changes it.
+PIVOT_SEQUENCE_DIGEST = "c3a11c34430fe457"
 
 
 def random_box_lps():
@@ -44,6 +52,28 @@ def carrier_selection_lps():
     """The heuristic's LPs of the 40 instances above."""
     for instance in carrier_selection_instances():
         yield _carrier_selection_lp(instance)
+
+
+def pivot_pin_lps():
+    """The carrier-selection LPs of the golden cases and one that runs past
+    the reduced-cost refresh, then 300 seeded random boxed LPs: finite random
+    bounds (some spans zero), rows tight at the start point about a third of
+    the time, and half with coefficients on a grid of halves so that ties and
+    degenerate pivots are common."""
+    for case in CASES:
+        yield _carrier_selection_lp(case_instance(case))
+    yield _carrier_selection_lp(sample_instance(
+        GenParams(K=20, M=40, N=5, ue_cc_cap=2, system_cc_cap_limit=10, seed=0)))
+    rng = np.random.default_rng(29)
+    for trial in range(300):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        c, A = rng.normal(size=n), rng.normal(size=(m, n))
+        if trial % 2:
+            c, A = np.round(2 * c) / 2, np.round(2 * A) / 2
+        lower = rng.uniform(-1.0, 0.0, n)
+        upper = lower + np.where(rng.uniform(size=n) < 0.1, 0.0, rng.uniform(0.5, 2.0, n))
+        slack = np.where(rng.uniform(size=m) < 0.3, 0.0, rng.uniform(0.0, 1.0, m))
+        yield LinearProgram(c, A, A @ lower + slack, np.column_stack([lower, upper]))
 
 
 def highs_optimum(lp):
@@ -108,6 +138,14 @@ class TestDeterminism:
         second = solve_lp(LinearProgram(c, A, b, bounds))
         np.testing.assert_array_equal(first.x, second.x)
         assert first.objective_value == second.objective_value
+
+    def test_pivot_sequence_is_pinned(self):
+        h = hashlib.sha256()
+        for lp in pivot_pin_lps():
+            sol = solve_lp(lp)
+            h.update(sol.x.tobytes())
+            h.update(repr((sol.objective_value, sol.pivots, sol.bound_flips)).encode())
+        assert h.hexdigest()[:16] == PIVOT_SEQUENCE_DIGEST
 
 
 class TestAgainstVertexEnumeration:

@@ -1,7 +1,11 @@
 """Instance generation, sweeps, and the isolated convergence experiment."""
 
+import concurrent.futures
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -262,7 +266,7 @@ class TestRunSweep:
 
         config = SweepConfig(algorithms=("greedy",), gen=small_params(), trials=trials, base_seed=4, m_grid=(3, 4))
         serial = run_sweep(config)
-        monkeypatch.setattr(simharness, "ProcessPoolExecutor", StubExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubExecutor)
         monkeypatch.setattr(simharness.os, "cpu_count", lambda: cpus)
         if affinity is None:
             monkeypatch.delattr(simharness.os, "sched_getaffinity", raising=False)
@@ -275,6 +279,18 @@ class TestRunSweep:
             return [{**asdict(row), "mean_solve_seconds": None} for row in rows]
 
         assert untimed(rows) == untimed(serial)
+
+    def test_importing_the_package_loads_no_process_pool(self):
+        # The pool's module is imported where run_sweep starts one, so the
+        # CLI and every import that runs no pool skip multiprocessing.
+        src = str(Path(simharness.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, caralloc, caralloc.cli; print('multiprocessing' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": pythonpath}, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_oracle_budget_marks_row_skipped(self):
         config = SweepConfig(
