@@ -15,15 +15,21 @@ objective, so the objective is bounded. All choices are value- and
 index-based, so repeated runs on the same input pivot identically.
 
 Intended for the small problems produced in this package (a few thousand
-variables at most). The tableau is stored dense, but a pivot rewrites only
-the rows whose entry in the pivot column is nonzero, and the ratio test reads
-only the rows the entering column moves; rows it skips would be left as they
-are anyway, so the pivots and the vertex are those of a full-tableau update.
-No factorization updates.
+variables at most), where a step's cost is numpy's per-call overhead more
+than its arithmetic, so a step makes few calls. Which bound each nonbasic
+variable sits at is stored as a sign, +1 at the lower and -1 at the upper, so
+the gain of entering a column is its reduced cost times its sign, an exact
+negation. The ratio test is one pass over all rows: a row the entering column
+moves by at most ``PIVOT_TOL`` gets infinite room, so it never blocks. The
+entering column is read once for that pass, and the pivot copies it once to
+rewrite only the rows whose entry in it is nonzero; the rows it skips would
+be left as they are anyway, so the pivots and the vertex are those of a
+full-tableau update. No factorization updates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -105,15 +111,12 @@ class _Tableau:
         self.m = lp.constraint_matrix.shape[0]
         self.lower = np.concatenate([lp.variable_bounds[:, 0], np.zeros(self.m)])
         self.upper = np.concatenate([lp.variable_bounds[:, 1], np.full(self.m, np.inf)])
-        self.T = np.hstack([lp.constraint_matrix.copy(), np.eye(self.m)])
+        self.T = np.hstack([lp.constraint_matrix, np.eye(self.m)])
         self.basis = np.arange(self.n, self.n + self.m)
-        self.at_upper = np.zeros(self.n + self.m, dtype=bool)
+        self.sign = np.ones(self.n + self.m)  # -1.0 where a nonbasic variable sits at its upper bound
         self.x_basic = lp.constraint_rhs - lp.constraint_matrix @ self.lower[: self.n]
         self.pivots = 0
         self.bound_flips = 0
-
-    def nonbasic_value(self, j: int) -> float:
-        return self.upper[j] if self.at_upper[j] else self.lower[j]
 
     def reduced_costs(self, c_all: np.ndarray) -> np.ndarray:
         return c_all - c_all[self.basis] @ self.T
@@ -121,10 +124,11 @@ class _Tableau:
     def pivot(self, row: int, col: int):
         """Make ``col`` basic in ``row``, rewriting only the rows it reaches."""
         T = self.T
-        T[row] /= T[row, col]
-        touched = np.flatnonzero(T[:, col])
-        touched = touched[touched != row]
-        T[touched] -= np.outer(T[touched, col], T[row])
+        column = T[:, col].copy()
+        T[row] /= column[row]
+        column[row] = 0.0
+        touched = column.nonzero()[0]
+        T[touched] -= column[touched, None] * T[row]
         self.pivots += 1
 
     def run(self, c_all: np.ndarray) -> None:
@@ -132,6 +136,7 @@ class _Tableau:
         rc = self.reduced_costs(c_all)
         max_pivots = _MAX_PIVOTS_BASE + 50 * (self.T.shape[1] + self.m)
         degenerate = 0  # degenerate pivots since the last step that made progress
+        basis, room = self.basis, np.empty(self.m)
 
         for step in range(max_pivots):
             if step and step % _RC_REFRESH_PERIOD == 0:
@@ -140,40 +145,34 @@ class _Tableau:
             # Only nonbasic columns can improve: a basic column's reduced cost is exactly 0. The slacks start
             # at 0, a pivot scales its entry to exactly 1.0 and so zeroes it, later pivot rows hold +-0 there,
             # and basic columns stay exact unit vectors, so the periodic refresh gives exact zeros too.
-            gain = np.where(self.at_upper, -rc, rc)
-            improving = gain > PIVOT_TOL
+            gain = rc * self.sign
             if degenerate < _DEGENERATE_LIMIT:
-                enter = int(np.where(improving, gain, 0.0).argmax())
+                enter = int(gain.argmax())  # if the largest gain fails the test below, every gain does
             else:
-                enter = int(improving.argmax())
-            if not improving[enter]:
+                enter = int((gain > PIVOT_TOL).argmax())
+            if not gain[enter] > PIVOT_TOL:
                 return
-            sigma = -1.0 if self.at_upper[enter] else 1.0
+            sigma = self.sign[enter]
 
             move = sigma * self.T[:, enter]
             span = self.upper[enter] - self.lower[enter]
 
-            # How far each moving basic variable lets us go before hitting a
-            # bound; rows with |move| <= PIVOT_TOL never block.
-            rows = np.flatnonzero(np.abs(move) > PIVOT_TOL)
-            min_room = np.inf
-            if rows.size:
-                row_move = move[rows]
-                basic = self.basis[rows]
-                x_rows = self.x_basic[rows]
-                room = np.where(
-                    row_move > 0,
-                    (x_rows - self.lower[basic]) / row_move,
-                    (self.upper[basic] - x_rows) / -row_move,
-                )
-                np.clip(room, 0.0, None, out=room)
-                min_room = room.min()
+            # How far each basic variable lets us go before hitting a bound;
+            # rows with |move| <= PIVOT_TOL never block.
+            room.fill(np.inf)
+            abs_move = np.abs(move)
+            np.divide(
+                np.where(move > 0, self.x_basic - self.lower[basis], self.upper[basis] - self.x_basic),
+                abs_move, out=room, where=abs_move > PIVOT_TOL,
+            )
+            np.maximum(room, 0.0, out=room)
+            min_room = room.min(initial=np.inf)
             delta = min(span, min_room)
-            if not np.isfinite(delta):
+            if not math.isfinite(delta):
                 raise RuntimeError("simplex found an unbounded step on a boxed LP")
 
             if span <= min_room:
-                self.at_upper[enter] = not self.at_upper[enter]
+                self.sign[enter] = -sigma
                 self.x_basic -= move * span
                 self.bound_flips += 1
                 if span > 0:
@@ -181,18 +180,17 @@ class _Tableau:
                 continue
             degenerate = degenerate + 1 if delta == 0 else 0
 
-            blocking = rows[room <= min_room + 1e-12]
-            leave_row = int(blocking[np.argmin(self.basis[blocking])])
-            leaving = int(self.basis[leave_row])
-            leaves_at_upper = bool(move[leave_row] < 0)
+            # Bland: of the blocking rows, the one with the smallest basic index.
+            leave_row = int(np.where(room <= min_room + 1e-12, basis, self.T.shape[1]).argmin())
+            leaving = int(basis[leave_row])
 
             self.x_basic -= move * delta
-            entering_value = self.nonbasic_value(enter) + sigma * delta
+            entering_value = (self.upper[enter] if sigma < 0 else self.lower[enter]) + sigma * delta
             self.pivot(leave_row, enter)
             rc -= rc[enter] * self.T[leave_row]
-            self.basis[leave_row] = enter
+            basis[leave_row] = enter
             self.x_basic[leave_row] = entering_value
-            self.at_upper[leaving] = leaves_at_upper
+            self.sign[leaving] = -1.0 if move[leave_row] < 0 else 1.0
 
         raise RuntimeError("simplex exceeded its pivot budget")
 
@@ -206,7 +204,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     tab = _Tableau(lp)
     tab.run(np.concatenate([lp.objective, np.zeros(tab.m)]))
     # Nonbasic variables sit at their lower or upper bound; basic ones take x_basic.
-    x = np.where(tab.at_upper, tab.upper, tab.lower)
+    x = np.where(tab.sign < 0, tab.upper, tab.lower)
     x[tab.basis] = tab.x_basic
     x = x[: tab.n]
     np.clip(x, lp.variable_bounds[:, 0], lp.variable_bounds[:, 1], out=x)

@@ -163,11 +163,18 @@ class GenParams:
 def capacity_utilities(gains: np.ndarray, snr_db: np.ndarray, num_rbs: int) -> np.ndarray:
     """Normalized link capacity per block: log2(1 + gain * linear SNR) / N.
 
-    ``gains`` is (K, M, N); ``snr_db`` is (K, M) and shared by all blocks of
-    a carrier (or any shape broadcastable against the gains).
+    ``gains`` is (K, M, N) and nonnegative; ``snr_db`` is (K, M) and shared
+    by all blocks of a carrier (or any shape broadcastable against the
+    gains); ``num_rbs`` is an integer >= 1. ValueError naming the argument
+    otherwise.
     """
     gains = _float_array(gains, "gains")
     snr_db = _float_array(snr_db, "snr_db")
+    num_rbs = _checked("int", num_rbs, "num_rbs")
+    if num_rbs < 1:
+        raise ValueError(f"num_rbs must be >= 1, not {num_rbs}")
+    if not np.all(gains >= 0):
+        raise ValueError("gains must be nonnegative")
     if snr_db.ndim == 2 and gains.ndim == 3:
         snr_db = snr_db[:, :, None]
     snr_linear = 10.0 ** (snr_db / 10.0)

@@ -19,6 +19,13 @@ from test_golden import CASES, case_instance
 #: leaving rule that reached the same vertex by another path changes it.
 PIVOT_SEQUENCE_DIGEST = "c3a11c34430fe457"
 
+#: The same hash over :func:`workload_lps`.
+WORKLOAD_PIVOT_DIGEST = "f0fbed8741cf077c"
+
+#: The same hash over the golden-case and random pin LPs with Bland's
+#: entering rule on every step (``_DEGENERATE_LIMIT = 0``).
+BLAND_PIVOT_DIGEST = "44e37eb01b8e2ad5"
+
 
 def random_box_lps():
     """120 random [0, 1]-box LPs with a nonnegative rhs, so the origin is
@@ -54,16 +61,17 @@ def carrier_selection_lps():
         yield _carrier_selection_lp(instance)
 
 
-def pivot_pin_lps():
-    """The carrier-selection LPs of the golden cases and one that runs past
-    the reduced-cost refresh, then 300 seeded random boxed LPs: finite random
-    bounds (some spans zero), rows tight at the start point about a third of
-    the time, and half with coefficients on a grid of halves so that ties and
-    degenerate pivots are common."""
+def golden_case_lps():
+    """The carrier-selection LPs of the golden cases."""
     for case in CASES:
         yield _carrier_selection_lp(case_instance(case))
-    yield _carrier_selection_lp(sample_instance(
-        GenParams(K=20, M=40, N=5, ue_cc_cap=2, system_cc_cap_limit=10, seed=0)))
+
+
+def random_pin_lps():
+    """300 seeded random boxed LPs: finite random bounds (some spans zero),
+    rows tight at the start point about a third of the time, and half with
+    coefficients on a grid of halves so that ties and degenerate pivots are
+    common."""
     rng = np.random.default_rng(29)
     for trial in range(300):
         n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
@@ -74,6 +82,35 @@ def pivot_pin_lps():
         upper = lower + np.where(rng.uniform(size=n) < 0.1, 0.0, rng.uniform(0.5, 2.0, n))
         slack = np.where(rng.uniform(size=m) < 0.3, 0.0, rng.uniform(0.0, 1.0, m))
         yield LinearProgram(c, A, A @ lower + slack, np.column_stack([lower, upper]))
+
+
+def pivot_pin_lps():
+    """The golden-case LPs, one that runs past the reduced-cost refresh, then
+    the random ones."""
+    yield from golden_case_lps()
+    yield _carrier_selection_lp(sample_instance(
+        GenParams(K=20, M=40, N=5, ue_cc_cap=2, system_cc_cap_limit=10, seed=0)))
+    yield from random_pin_lps()
+
+
+def workload_lps():
+    """100 carrier-selection LPs at each benchmark workload shape that runs
+    the heuristic, (K, M, N, Mk, M0) = (10, 12, 20, 2, 6) and (4, 6, 4, 2, 2),
+    drawn from seed 5 on the benchmark's trial streams (0, t)."""
+    for K, M, N, Mk, M0 in ((10, 12, 20, 2, 6), (4, 6, 4, 2, 2)):
+        for trial in range(100):
+            yield _carrier_selection_lp(sample_instance(GenParams(
+                K=K, M=M, N=N, ue_cc_cap=Mk, system_cc_cap_limit=M0, seed=5, stream_key=(0, trial))))
+
+
+def pivot_digest(solutions):
+    """sha256 prefix of every solution's ``x`` bytes, ``repr`` of its
+    objective value, pivots and bound flips."""
+    h = hashlib.sha256()
+    for sol in solutions:
+        h.update(sol.x.tobytes())
+        h.update(repr((sol.objective_value, sol.pivots, sol.bound_flips)).encode())
+    return h.hexdigest()[:16]
 
 
 def highs_optimum(lp):
@@ -146,6 +183,20 @@ class TestDeterminism:
             h.update(sol.x.tobytes())
             h.update(repr((sol.objective_value, sol.pivots, sol.bound_flips)).encode())
         assert h.hexdigest()[:16] == PIVOT_SEQUENCE_DIGEST
+
+    def test_workload_pivot_sequence_is_pinned(self):
+        assert pivot_digest(map(solve_lp, workload_lps())) == WORKLOAD_PIVOT_DIGEST
+
+    def test_bland_pivot_sequence_is_pinned(self, monkeypatch):
+        # Only Beale's example reaches the Bland fallback otherwise; with a
+        # limit of 0 every step enters on the smallest improving index. The
+        # pin set's long LP is left out: it takes about 5,900 pivots this way.
+        monkeypatch.setattr(lp_module, "_DEGENERATE_LIMIT", 0)
+        lps = [*golden_case_lps(), *random_pin_lps()]
+        solutions = [solve_lp(lp) for lp in lps]
+        assert pivot_digest(solutions) == BLAND_PIVOT_DIGEST
+        for lp, sol in zip(lps, solutions):
+            assert sol.objective_value == pytest.approx(highs_optimum(lp), abs=1e-7)
 
 
 class TestAgainstVertexEnumeration:

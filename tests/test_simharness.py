@@ -120,6 +120,21 @@ class TestCapacityUtilities:
         quarter = capacity_utilities(np.ones((1, 1, 1)), np.zeros((1, 1)), 4)
         assert quarter[0, 0, 0] == pytest.approx(full[0, 0, 0] / 4.0)
 
+    @pytest.mark.parametrize("num_rbs, message", [
+        (0, "num_rbs must be >= 1, not 0"),
+        (-3, "num_rbs must be >= 1, not -3"),
+        (2.5, "num_rbs must be an integer, not 2.5"),
+        (True, "num_rbs must be an integer, not True"),
+    ])
+    def test_rejects_a_block_count_that_is_not_a_positive_integer(self, num_rbs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            capacity_utilities(np.ones((1, 1, 1)), np.zeros((1, 1)), num_rbs)
+
+    @pytest.mark.parametrize("gain", [-2.0, -1e-300, np.nan])
+    def test_rejects_gains_that_are_not_nonnegative(self, gain):
+        with pytest.raises(ValueError, match="gains must be nonnegative"):
+            capacity_utilities(np.array([[[1.0, gain]]]), np.zeros((1, 1)), 2)
+
     def test_mean_matches_quadrature(self):
         """Monte-Carlo mean of the utility at fixed unit SNR vs the integral
         of log2(1 + g) against the unit-mean exponential density."""
