@@ -30,9 +30,9 @@ of it. :func:`solve` forms the weighted utilities once, writes each sweep's
 block and share scores into a second such buffer, and :func:`update_alpha`
 and :func:`update_beta` normalize them there; the snap then takes one pass
 over the whole buffer. The change takes one pass over the share matrix, and
-over the block shares only once the share matrix has settled (or for a
-trace). Apart from its start and its cuts, a solve allocates no K*M*N array
-until the rounding.
+over the block shares only once the share matrix has settled. Apart from its
+start and its cuts, a solve allocates no K*M*N array until the rounding,
+unless it keeps a trace (see :class:`IterationRecord`).
 
 A carrier whose activation reaches exactly 0 stays switched off, and every
 share under it is 0 from then on. Once at least half of the carriers in its
@@ -329,15 +329,19 @@ def update_gamma(scores: np.ndarray, gamma: np.ndarray, cap: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Per-iteration diagnostics.
+    """Per-iteration diagnostics, each a function of the full-size iterates
+    before and after the sweep; a traced solve keeps the one before.
 
     ``relaxed_wsu`` is :func:`~caralloc.core.evaluate_relaxed_wsu` of the
-    full-size iterate after the sweep. ``sum_residual`` is the worst
-    deviation of the raw (pre-snap) update from its normalization
-    identities: block columns summing to 1, carrier-share rows and
-    activations summing to min(cap, number of positive scores).
-    ``zero_rate_ues`` lists users whose carrier-share row was held because
-    every score was zero (a held activation row is not listed).
+    iterate after, and ``max_change`` the largest change of any share. The
+    other two are read off the sweep re-run at full size from the iterate
+    before, the same bits as the solve's own since its cut is exact.
+    ``sum_residual`` is the worst deviation of the raw (pre-snap) update
+    from its normalization identities: block columns with a positive score
+    summing to 1, carrier-share rows and activations summing to min(cap,
+    number of positive scores). ``zero_rate_ues`` lists users whose
+    carrier-share row was held because every score was zero (a held
+    activation row is not listed).
     """
 
     iteration: int
@@ -406,7 +410,7 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     depends on it. The caps stay as they are: a row with no more positive
     scores than its cap saturates, so a cap above the live count acts as
     the live count. The iterate is scattered back to full size at the end,
-    and for each trace record.
+    and after each sweep of a traced solve for its record.
     """
     cfg = config if config is not None else SgpaConfig()
     K, num_ccs, N = instance.num_ues, instance.num_ccs, instance.num_rbs_per_cc
@@ -421,7 +425,11 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
     weighted = instance.weighted_utilities
     free, new_alpha, new_shares = _iterate_buffer(K, num_ccs, N)  # the next scores
 
-    trace: Optional[List[IterationRecord]] = [] if cfg.record_trace else None
+    trace: Optional[List[IterationRecord]] = None
+    if cfg.record_trace:  # the previous full-size iterate, and a scratch one
+        trace, before, scratch = [], _iterate_buffer(K, num_ccs, N), _iterate_buffer(K, num_ccs, N)
+        np.copyto(before[0], iterate)
+        record = functools.partial(_trace_record, instance, weighted, caps, before, scratch)
     live = np.arange(num_ccs)  # the carriers in the working arrays
     converged = False
 
@@ -431,20 +439,8 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
 
     for iteration in range(1, cfg.max_iterations + 1):
         _sweep_scores(weighted, alpha, shares, new_alpha, new_shares)
-        if cfg.record_trace:
-            live_cols = new_alpha.sum(axis=0) > 0.0
-            positives = (new_shares > 0.0).sum(axis=1)
         update_alpha(new_alpha, alpha)  # normalized where the scores sit
         update_beta(new_shares, shares, caps)
-
-        residual, zero_rate = 0.0, ()
-        if cfg.record_trace:
-            # The share sums here run over carriers: take them at full size,
-            # so they add in the same order with or without a cut.
-            residual, zero_rate = _sum_identity_residual(
-                live_cols, positives, new_alpha, _scatter(new_shares, live, num_ccs), caps
-            )
-
         _snap(free)
 
         # Active-set removal cascades: a carrier whose activation hit exact
@@ -459,19 +455,16 @@ def solve(instance: ProblemInstance, config: Optional[SgpaConfig] = None) -> Sgp
             new_alpha[:, dead, :] = 0.0
 
         # The old iterate's buffer takes |new - old|, then the next scores.
-        # The share matrix goes first: while it moves by the tolerance or
-        # more, the solve goes on whatever the block shares did, so their
-        # change is taken only to stop or for the trace.
+        # While the share matrix moves by the tolerance or more, the solve
+        # goes on whatever the block shares did: their change only stops it.
         max_change = _max_change(new_shares, shares)
-        if max_change < CONVERGENCE_TOLERANCE or cfg.record_trace:
+        if max_change < CONVERGENCE_TOLERANCE:
             max_change = max(max_change, _max_change(new_alpha, alpha))
         iterate, alpha, shares, free, new_alpha, new_shares = (
             free, new_alpha, new_shares, iterate, alpha, shares
         )
-
-        if cfg.record_trace:
-            relaxed_wsu = evaluate_relaxed_wsu(instance, full_size())
-            trace.append(IterationRecord(iteration, relaxed_wsu, max_change, residual, zero_rate))
+        if trace is not None:
+            trace.append(record(iteration, full_size()))
 
         if max_change < CONVERGENCE_TOLERANCE:
             converged = True
@@ -539,21 +532,27 @@ def _scatter(arr: np.ndarray, live: np.ndarray, num_ccs: int) -> np.ndarray:
     return out
 
 
-def _sum_identity_residual(live_cols, positives, new_alpha, new_shares, caps):
-    """Worst deviation of the raw update from its normalization identities,
-    and the users whose carrier-share row was held (all scores zero).
-    ``live_cols`` marks the (carrier, block) columns with a positive block
-    score, the ones :func:`update_alpha` normalized, and ``positives``
-    counts each share row's positive scores."""
-    residual = 0.0
-    if live_cols.any():
-        residual = float(np.abs(new_alpha.sum(axis=0)[live_cols] - 1.0).max())
-
+def _trace_record(instance, weighted, caps, before, scratch, iteration, after) -> IterationRecord:
+    """The :class:`IterationRecord` of sweep ``iteration``: its sweep re-run
+    at full size (so share sums over carriers add in one order, cut or not)
+    from ``before`` into ``scratch``, two :func:`_iterate_buffer` triples,
+    with the full-size ``weighted`` utilities and the row ``caps``. Then
+    ``before`` takes ``after``, the change passing through ``scratch``."""
+    blocks, share_scores = _sweep_scores(weighted, before[1], before[2], scratch[1], scratch[2])
+    live_cols = blocks.sum(axis=0) > 0.0
+    positives = (share_scores > 0.0).sum(axis=1)
+    update_alpha(blocks, before[1])
+    update_beta(share_scores, before[2], caps)
     live_rows = positives > 0
-    if live_rows.any():
-        deviation = np.abs(new_shares.sum(axis=1) - np.minimum(caps, positives))
-        residual = max(residual, float(deviation[live_rows].max()))
-    return residual, tuple(np.flatnonzero(~live_rows[:-1]).tolist())
+    residual = float(max(
+        np.abs(blocks.sum(axis=0) - 1.0)[live_cols].max(initial=0.0),
+        np.abs(share_scores.sum(axis=1) - np.minimum(caps, positives))[live_rows].max(initial=0.0),
+    ))
+    np.concatenate((after.alpha, after.beta, after.gamma), axis=None, out=scratch[0])
+    max_change = _max_change(scratch[0], before[0])
+    np.copyto(before[0], scratch[0])
+    zero_rate = tuple(np.flatnonzero(~live_rows[:-1]).tolist())
+    return IterationRecord(iteration, evaluate_relaxed_wsu(instance, after), max_change, residual, zero_rate)
 
 
 def write_trace_csv(result: SgpaResult, path) -> None:

@@ -1,5 +1,6 @@
 """The iterative solver: update rules, fixed-rate convergence, full solve."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,7 @@ from caralloc.sgpa import (
 from caralloc.simharness import GenParams, sample_instance
 
 from helpers import alpha_rounding, binary_distance
-from test_golden import SHAPES, WEIGHT_MODES
+from test_golden import CUT_CASES, ITERATE_SWEEPS, SHAPES, WEIGHT_MODES, case_instance
 
 
 class TestConfig:
@@ -436,18 +437,26 @@ class TestSolve:
         """The sweep reuses two K*M*N buffers beside the weighted utilities,
         so one solve of a cut shape, rounding included, peaks below four
         K*M*N float arrays under tracemalloc (an out-of-place sweep peaks
-        near 4.4)."""
+        near 4.4). A traced solve keeps the previous full-size iterate and
+        one scratch buffer besides, not a history: it peaks below 7.5 such
+        arrays, the same at 20 sweeps as at 200."""
         inst = sample_instance(GenParams(K=10, M=160, N=20, ue_cc_cap=2, system_cc_cap_limit=8, seed=0))
-        solve(inst)  # first-call setup outside the measurement
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            solve(inst)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * inst.utilities.nbytes
+
+        def peak(config):
+            solve(inst, config)  # first-call setup outside the measurement
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                solve(inst, config)
+                return (tracemalloc.get_traced_memory()[1] - before) / inst.utilities.nbytes
+            finally:
+                tracemalloc.stop()
+
+        assert peak(SgpaConfig()) < 4
+        traced = [peak(SgpaConfig(max_iterations=sweeps, record_trace=True)) for sweeps in (20, 200)]
+        assert max(traced) < 7.5
+        assert traced[0] == pytest.approx(traced[1], abs=0.01)
 
 
 class TestTrace:
@@ -502,6 +511,51 @@ class TestTrace:
             current = (relaxed.alpha, relaxed.beta, relaxed.gamma)
             assert rec.max_change == max(np.abs(a - b).max() for a, b in zip(current, previous))
             previous = current
+
+    def test_tracing_leaves_the_solve_untouched(self):
+        """A traced solve returns what an untraced one does, bit for bit: on
+        every golden cut case at both pinned budgets, and on criterion 3's
+        three slow draws (K=4, M=6, N=4, Mk=2, M0 limit 3), which use all of
+        its 2,000 sweeps."""
+        runs = [(case_instance(case), sweeps) for case in CUT_CASES for sweeps in ITERATE_SWEEPS]
+        runs += [
+            (sample_instance(GenParams(K=4, M=6, N=4, ue_cc_cap=2, system_cc_cap_limit=3, seed=seed)), 2000)
+            for seed in (3, 5, 47)
+        ]
+
+        def facts(result):
+            relaxed, binary = result.relaxed, result.binary
+            return (
+                [arr.tobytes() for arr in (relaxed.alpha, relaxed.beta, relaxed.gamma)],
+                [arr.tobytes() for arr in (binary.alpha, binary.beta, binary.gamma)],
+                repr(result.wsu), result.iterations_run, result.converged,
+                result.active_carriers, repr(result.binary_distance),
+            )
+
+        for instance, sweeps in runs:
+            plain = solve(instance, SgpaConfig(max_iterations=sweeps))
+            traced = solve(instance, SgpaConfig(max_iterations=sweeps, record_trace=True))
+            assert facts(traced) == facts(plain)
+
+    @pytest.mark.parametrize(
+        "instance, digest",
+        [
+            # A golden cut case that runs all 2,000 sweeps and ends with two
+            # live carriers, holding users' rows in most records.
+            (case_instance((12, 6, 4, 3, 1, "equal", 3)), "a7b24c783c9063ee"),
+            # Two of six carriers switch off, so it is never cut; it
+            # converges at sweep 879.
+            (sample_instance(GenParams(K=4, M=6, N=4, ue_cc_cap=2, system_cc_cap_limit=4, seed=3)),
+             "4ad5a41747f3a7e2"),
+        ],
+        ids=["cut", "uncut"],
+    )
+    def test_trace_csv_is_pinned_at_2000_sweeps(self, tmp_path, instance, digest):
+        """The bytes of the trace CSV over a 2,000-sweep budget, criterion
+        3's, where the golden digests pin traces only at 20 and 200."""
+        path = tmp_path / "trace.csv"
+        write_trace_csv(solve(instance, SgpaConfig(max_iterations=2000, record_trace=True)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
 
     def test_csv_export(self, tmp_path):
         inst = sample_instance(GenParams(K=2, M=2, N=2, ue_cc_cap=1, system_cc_cap_limit=2, seed=0))
